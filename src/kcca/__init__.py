@@ -1,7 +1,6 @@
 """Regularized kernel canonical correlation analysis and its linear baseline."""
 
 from .cca import (
-    CorrelationTable,
     KccaConfig,
     KccaModel,
     LinearCcaModel,
@@ -22,12 +21,10 @@ from .errors import (
     NumericalError,
     SingularRegularizationError,
 )
-from .kernels import GramMatrix, KernelSpec, centering_matrix, gram_matrix, kernel_eval, parse_kernel_spec
+from .kernels import KernelSpec, gram_matrix, parse_kernel_spec
 
 __all__ = [
-    "CorrelationTable",
     "DegenerateFeatureError",
-    "GramMatrix",
     "InputError",
     "KccaConfig",
     "KccaModel",
@@ -39,14 +36,12 @@ __all__ = [
     "SimSpec",
     "SingularRegularizationError",
     "build_mln",
-    "centering_matrix",
     "correlation_table",
     "fit_kcca",
     "fit_linear_cca",
     "gen_sim1",
     "gen_sim2",
     "gram_matrix",
-    "kernel_eval",
     "load_model",
     "parse_kernel_spec",
     "project",

@@ -12,7 +12,8 @@ method: with Gram matrices Kx, Ky and the centering operator J it builds
 where the regularizer R is the Gram matrix itself ("rkhs" mode, penalizing
 the feature-space norms ||a||^2, ||b||^2) or the identity ("dual_l2" mode,
 penalizing the dual coefficient norms), and solves the coupled eigenproblem
-M beta = lambda L alpha, M^T alpha = lambda N beta.
+M beta = lambda L alpha, M^T alpha = lambda N beta.  Both fitters end in
+the same whitened SVD, `linalg.whitened_svd`.
 
 Projection of new points is the raw representer sum u(x*) = sum_i
 alpha_ik k(x_i, x*), uncentered; correlation tables are Pearson
@@ -22,13 +23,12 @@ correlations centered by the means of whichever split is being evaluated.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import linalg
-from .datagen import PairedDataset
 from .errors import (
     DegenerateFeatureError,
     InputError,
@@ -61,14 +61,14 @@ class KccaConfig:
     def __post_init__(self):
         if self.regularizer not in REGULARIZERS:
             raise InputError(f"unknown regularizer {self.regularizer!r}")
-        if self.eta1 < 0 or self.eta2 < 0:
-            raise InputError("eta1 and eta2 must be >= 0")
+        if not all(math.isfinite(v) and v >= 0 for v in (self.eta1, self.eta2)):
+            raise InputError(f"eta1 and eta2 must be finite and >= 0, got {self.eta1}, {self.eta2}")
         if self.regularizer == "rkhs" and (self.eta1 == 0 or self.eta2 == 0):
             raise InputError("rkhs regularizer requires eta1 > 0 and eta2 > 0")
         if self.d < 1:
             raise InputError("component count must be >= 1")
-        if self.jitter < 0:
-            raise InputError("jitter must be >= 0")
+        if not (math.isfinite(self.jitter) and self.jitter >= 0):
+            raise InputError(f"jitter must be finite and >= 0, got {self.jitter}")
 
 
 @dataclass(frozen=True)
@@ -91,12 +91,6 @@ class LinearCcaModel:
     ridge: float = 0.0
 
 
-@dataclass(frozen=True)
-class CorrelationTable:
-    values: np.ndarray
-    split: str
-
-
 def _mirror_upper(S):
     # structural symmetrization: keep i <= j, mirror below
     U = np.triu(S)
@@ -104,9 +98,9 @@ def _mirror_upper(S):
 
 
 def build_mln(Kx, Ky, config):
-    """Assemble the coupled-problem matrices (M, L, N) from two Grams."""
-    kx = Kx.entries
-    ky = Ky.entries
+    """Assemble the coupled-problem matrices (M, L, N) from two Gram arrays."""
+    kx = np.asarray(Kx, dtype=float)
+    ky = np.asarray(Ky, dtype=float)
     n = kx.shape[0]
     if ky.shape[0] != n:
         raise InputError(f"Gram sizes differ: {n} vs {ky.shape[0]}")
@@ -134,6 +128,12 @@ def fit_kcca(data, config):
     Ky = gram_matrix(config.kernel_y, data.y)
     M, L, Nmat = build_mln(Kx, Ky, config)
     sol = linalg.solve_paired_eig(M, L, Nmat, config.d, config.jitter)
+    # Cauchy-Schwarz bounds every exact lambda by 1; above it the solve has lost precision
+    if sol.lambdas[0] > 1.0 + 1e-8:
+        raise NumericalError(
+            f"largest lambda {sol.lambdas[0]:.9g} exceeds 1: the metrics are too "
+            "ill-conditioned; increase the regularization constant eta"
+        )
     return KccaModel(
         train_x=np.array(data.x, dtype=float),
         train_y=np.array(data.y, dtype=float),
@@ -145,22 +145,32 @@ def fit_kcca(data, config):
 
 
 def project(model, side, points):
-    """Canonical features of new points on one side, via kernel sums."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if side == "x":
-        train, spec, coef = model.train_x, model.config.kernel_x, model.alphas
-    elif side == "y":
-        train, spec, coef = model.train_y, model.config.kernel_y, model.betas
-    else:
-        raise InputError(f"side must be 'x' or 'y', got {side!r}")
-    if points.shape[1] != train.shape[1]:
-        raise InputError(
-            f"point dimension {points.shape[1]} does not match training side {train.shape[1]}"
-        )
+    """Canonical features of new points on one side.
+
+    Kernel sums for a KccaModel; a LinearCcaModel goes to project_linear.
+    """
+    if isinstance(model, LinearCcaModel):
+        return project_linear(model, side, points)
+    points, (train, spec, coef) = _on_side(
+        side, points, (model.train_x, model.config.kernel_x, model.alphas),
+        (model.train_y, model.config.kernel_y, model.betas),
+    )
     return cross_kernel(spec, points, train) @ coef
 
 
-def correlation_table(u_feats, v_feats, split="train"):
+def _on_side(side, points, x_parts, y_parts):
+    """Pick the parts of one side; check the points' width against the first part."""
+    if side not in ("x", "y"):
+        raise InputError(f"side must be 'x' or 'y', got {side!r}")
+    parts = x_parts if side == "x" else y_parts
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    width = parts[0].shape[-1]
+    if points.shape[1] != width:
+        raise InputError(f"point dimension {points.shape[1]} does not match training side {width}")
+    return points, parts
+
+
+def correlation_table(u_feats, v_feats):
     """d x d Pearson correlations between u and v columns of one split."""
     U = np.atleast_2d(np.asarray(u_feats, dtype=float))
     V = np.atleast_2d(np.asarray(v_feats, dtype=float))
@@ -186,7 +196,7 @@ def correlation_table(u_feats, v_feats, split="train"):
         j, k = np.unravel_index(int(np.argmax(over)), T.shape)
         raise NumericalError(f"correlation entry ({j},{k}) = {T[j, k]!r} is outside [-1, 1]")
     np.clip(T, -1.0, 1.0, out=T)
-    return CorrelationTable(values=T, split=split)
+    return T
 
 
 def fit_linear_cca(data, d, ridge=0.0):
@@ -213,26 +223,15 @@ def fit_linear_cca(data, d, ridge=0.0):
             message=f"covariance block is rank deficient (pivot {exc.pivot}); "
             "pass a positive ridge",
         ) from exc
-    G = linalg.solve_lower_triangular(fy, linalg.solve_lower_triangular(fx, Cxy).T).T
-    res = linalg.svd(G)
-    A = linalg.solve_lower_transposed(fx, res.U[:, :d])
-    B = linalg.solve_lower_transposed(fy, res.V[:, :d])
-    rhos = np.clip(res.s[:d], 0.0, 1.0)
-    return LinearCcaModel(mean_x=mean_x, mean_y=mean_y, A=A, B=B, rhos=rhos, ridge=ridge)
+    sol = linalg.whitened_svd(Cxy, fx, fy, d)
+    rhos = np.clip(sol.lambdas, 0.0, 1.0)
+    return LinearCcaModel(
+        mean_x=mean_x, mean_y=mean_y, A=sol.alphas, B=sol.betas, rhos=rhos, ridge=ridge
+    )
 
 
 def project_linear(model, side, points):
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if side == "x":
-        mean, W = model.mean_x, model.A
-    elif side == "y":
-        mean, W = model.mean_y, model.B
-    else:
-        raise InputError(f"side must be 'x' or 'y', got {side!r}")
-    if points.shape[1] != mean.shape[0]:
-        raise InputError(
-            f"point dimension {points.shape[1]} does not match training side {mean.shape[0]}"
-        )
+    points, (mean, W) = _on_side(side, points, (model.mean_x, model.A), (model.mean_y, model.B))
     return (points - mean) @ W
 
 
@@ -267,56 +266,59 @@ def config_from_dict(doc):
     )
 
 
+# array fields of each method; equal letters are dimensions that must agree
+_ARRAY_FIELDS = {
+    "kcca": {"train_x": "np", "train_y": "nq", "alphas": "nd", "betas": "nd", "lambdas": "d"},
+    "linear": {"mean_x": "p", "mean_y": "q", "A": "pd", "B": "qd", "rhos": "d"},
+}
+
+
 def model_to_dict(model):
     if isinstance(model, KccaModel):
-        return {
-            "schema": MODEL_SCHEMA,
-            "method": "kcca",
-            "config": _config_to_dict(model.config),
-            "train_x": model.train_x.tolist(),
-            "train_y": model.train_y.tolist(),
-            "alphas": model.alphas.tolist(),
-            "betas": model.betas.tolist(),
-            "lambdas": model.lambdas.tolist(),
-        }
-    if isinstance(model, LinearCcaModel):
-        return {
-            "schema": MODEL_SCHEMA,
-            "method": "linear",
-            "ridge": model.ridge,
-            "mean_x": model.mean_x.tolist(),
-            "mean_y": model.mean_y.tolist(),
-            "A": model.A.tolist(),
-            "B": model.B.tolist(),
-            "rhos": model.rhos.tolist(),
-        }
-    raise InputError(f"cannot serialize {type(model).__name__}")
+        doc = {"method": "kcca", "config": _config_to_dict(model.config)}
+    elif isinstance(model, LinearCcaModel):
+        doc = {"method": "linear", "ridge": model.ridge}
+    else:
+        raise InputError(f"cannot serialize {type(model).__name__}")
+    doc["schema"] = MODEL_SCHEMA
+    doc.update((key, getattr(model, key).tolist()) for key in _ARRAY_FIELDS[doc["method"]])
+    return doc
+
+
+def _arrays(doc, fields, dims):
+    """Read `fields` of doc as finite float arrays whose dimension letters agree."""
+    out = {}
+    for key, shape in fields.items():
+        a = np.asarray(doc[key], dtype=float)
+        if (
+            a.ndim != len(shape)
+            or not np.all(np.isfinite(a))
+            or any(dims.setdefault(dim, m) != m for dim, m in zip(shape, a.shape))
+        ):
+            raise InputError(f"model field {key!r} is not finite or has a wrong shape {a.shape}")
+        out[key] = a
+    return out
 
 
 def model_from_dict(doc):
+    if not isinstance(doc, dict):
+        raise InputError("model document is not a JSON object")
     schema = doc.get("schema")
     if schema != MODEL_SCHEMA:
         raise InputError(f"unsupported model schema {schema!r}")
     method = doc.get("method")
-    if method == "kcca":
-        return KccaModel(
-            train_x=np.asarray(doc["train_x"], dtype=float),
-            train_y=np.asarray(doc["train_y"], dtype=float),
-            config=config_from_dict(doc["config"]),
-            alphas=np.asarray(doc["alphas"], dtype=float),
-            betas=np.asarray(doc["betas"], dtype=float),
-            lambdas=np.asarray(doc["lambdas"], dtype=float),
-        )
-    if method == "linear":
-        return LinearCcaModel(
-            mean_x=np.asarray(doc["mean_x"], dtype=float),
-            mean_y=np.asarray(doc["mean_y"], dtype=float),
-            A=np.asarray(doc["A"], dtype=float),
-            B=np.asarray(doc["B"], dtype=float),
-            rhos=np.asarray(doc["rhos"], dtype=float),
-            ridge=doc.get("ridge", 0.0),
-        )
-    raise InputError(f"unknown model method {method!r}")
+    if method not in ("kcca", "linear"):
+        raise InputError(f"unknown model method {method!r}")
+    try:
+        fields = _ARRAY_FIELDS[method]
+        if method == "kcca":
+            config = config_from_dict(doc["config"])
+            return KccaModel(config=config, **_arrays(doc, fields, {"d": config.d}))
+        return LinearCcaModel(ridge=doc.get("ridge", 0.0), **_arrays(doc, fields, {}))
+    except InputError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed model document: {type(exc).__name__}: {exc}") from None
 
 
 def save_model(model, path):
@@ -327,4 +329,8 @@ def save_model(model, path):
 
 def load_model(path):
     with open(path) as fh:
-        return model_from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise InputError(f"{path}: not a JSON document: {exc}") from None
+    return model_from_dict(doc)

@@ -34,6 +34,11 @@ def _fmt(v):
     return format(float(v), ".17g")
 
 
+def _write_csv(path, lines):
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def write_dataset(path, dataset):
     """CSV with header x1..x{nx},y1..y{ny}[,label], 17-significant-digit floats."""
     n_x = dataset.x.shape[1]
@@ -47,12 +52,12 @@ def write_dataset(path, dataset):
         if dataset.labels is not None:
             row.append(str(int(dataset.labels[i])))
         lines.append(",".join(row))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(path, lines)
 
 
 def read_dataset(path):
-    with open(path) as fh:
+    # undecodable bytes become U+FFFD, which the header and float checks reject
+    with open(path, errors="replace") as fh:
         lines = [ln for ln in (l.strip() for l in fh) if ln]
     if not lines:
         raise UsageError(f"{path}: empty data file")
@@ -73,15 +78,18 @@ def read_dataset(path):
     x = np.empty((len(rows), n_x))
     y = np.empty((len(rows), n_y))
     labels = np.empty(len(rows), dtype=int) if has_label else None
-    for i, row in enumerate(rows):
-        fields = row.split(",")
-        if len(fields) != width:
-            raise InputError(f"{path}: row {i+2} has {len(fields)} fields, expected {width}")
-        vals = [float(f) for f in fields[: n_x + n_y]]
-        x[i] = vals[:n_x]
-        y[i] = vals[n_x:]
-        if has_label:
-            labels[i] = int(fields[-1])
+    try:
+        for i, row in enumerate(rows):
+            fields = row.split(",")
+            if len(fields) != width:
+                raise ValueError(f"has {len(fields)} fields, expected {width}")
+            vals = [float(f) for f in fields[: n_x + n_y]]
+            x[i] = vals[:n_x]
+            y[i] = vals[n_x:]
+            if has_label:
+                labels[i] = int(fields[-1])
+    except ValueError as exc:
+        raise InputError(f"{path}: row {i+2} {exc}") from None
     return PairedDataset(x=x, y=y, labels=labels)
 
 
@@ -90,8 +98,7 @@ def _write_features(path, feats, prefix):
     lines = [",".join(cols)]
     for row in feats:
         lines.append(",".join(_fmt(v) for v in row))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(path, lines)
 
 
 def cmd_simulate(args):
@@ -145,9 +152,7 @@ def cmd_fit(args):
 
 
 def _project_split(model, data):
-    if isinstance(model, cca.KccaModel):
-        return cca.project(model, "x", data.x), cca.project(model, "y", data.y)
-    return cca.project_linear(model, "x", data.x), cca.project_linear(model, "y", data.y)
+    return cca.project(model, "x", data.x), cca.project(model, "y", data.y)
 
 
 def _render_bracket_table(train, test):
@@ -165,24 +170,19 @@ def cmd_eval(args):
     test = read_dataset(args.test)
     u_tr, v_tr = _project_split(model, train)
     u_te, v_te = _project_split(model, test)
-    table_tr = cca.correlation_table(u_tr, v_tr, split="train")
-    table_te = cca.correlation_table(u_te, v_te, split="test")
+    table_tr = cca.correlation_table(u_tr, v_tr)
+    table_te = cca.correlation_table(u_te, v_te)
 
-    report = {"schema": REPORT_SCHEMA}
-    if isinstance(model, cca.KccaModel):
-        report["method"] = "kcca"
-        report["config"] = cca.model_to_dict(model)["config"]
-        report["lambdas"] = model.lambdas.tolist()
-    else:
-        report["method"] = "linear"
-        report["ridge"] = model.ridge
-        report["rhos"] = model.rhos.tolist()
-    report["train_table"] = table_tr.values.tolist()
-    report["test_table"] = table_te.values.tolist()
-    report["train_diag"] = np.diag(table_tr.values).tolist()
-    report["test_diag"] = np.diag(table_te.values).tolist()
+    doc = cca.model_to_dict(model)
+    echo = ("method", "config", "lambdas", "ridge", "rhos")
+    report = {key: doc[key] for key in echo if key in doc}
+    report["schema"] = REPORT_SCHEMA
+    report["train_table"] = table_tr.tolist()
+    report["test_table"] = table_te.tolist()
+    report["train_diag"] = np.diag(table_tr).tolist()
+    report["test_diag"] = np.diag(table_te).tolist()
 
-    print(_render_bracket_table(table_tr.values, table_te.values))
+    print(_render_bracket_table(table_tr, table_te))
     if args.report:
         with open(args.report, "w") as fh:
             json.dump(report, fh, indent=1, sort_keys=True)
@@ -209,19 +209,14 @@ def _emit_plot_data(plot_dir, train, test, feats_tr, feats_te):
         ):
             for i in range(u.shape[0]):
                 lines.append(f"{_fmt(u[i, k])},{_fmt(v[i, k])},{split},{order[i]}")
-        path = os.path.join(plot_dir, f"component_{k+1}.csv")
-        with open(path, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_csv(os.path.join(plot_dir, f"component_{k+1}.csv"), lines)
 
 
 def cmd_transform(args):
     model = cca.load_model(args.model)
     data = read_dataset(args.data)
     points = data.x if args.side == "x" else data.y
-    if isinstance(model, cca.KccaModel):
-        feats = cca.project(model, args.side, points)
-    else:
-        feats = cca.project_linear(model, args.side, points)
+    feats = cca.project(model, args.side, points)
     _write_features(args.out, feats, "u" if args.side == "x" else "v")
     print(f"wrote {feats.shape[0]} rows x {feats.shape[1]} components to {args.out}")
     return 0
@@ -278,7 +273,8 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        with np.errstate(all="ignore"):  # non-finite results end in one error[domain] line
+            return args.func(args)
     except UsageError as exc:
         print(f"error[usage]: {exc}", file=sys.stderr)
         return 64

@@ -33,6 +33,8 @@ class PairedDataset:
             )
         if self.labels is not None and self.labels.shape[0] != self.x.shape[0]:
             raise InputError("labels length does not match sample count")
+        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))):
+            raise InputError("x and y must be finite (found nan or inf)")
 
     @property
     def n(self):

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the library.
 
-CLI exit-code mapping relies on these classes: InputError -> usage-style
-failures, NumericalError subclasses -> domain/numerical failures.
+The CLI maps InputError (bad data, parameters or model files) and the
+NumericalError subclasses alike to exit 3, with an error[domain] line.
 """
 
 

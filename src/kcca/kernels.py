@@ -11,7 +11,8 @@ or a gamma parameterization instead; all code in this package assumes the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,13 +37,13 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in VALID_KINDS:
             raise InputError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == "gaussian" and not self.sigma > 0:
-            raise InputError(f"gaussian kernel requires sigma > 0, got {self.sigma}")
+        if self.kind == "gaussian" and not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise InputError(f"gaussian kernel requires a finite sigma > 0, got {self.sigma}")
         if self.kind == "polynomial":
             if int(self.degree) != self.degree or self.degree < 1:
                 raise InputError(f"polynomial degree must be an integer >= 1, got {self.degree}")
-            if self.offset < 0:
-                raise InputError(f"polynomial offset must be >= 0, got {self.offset}")
+            if not (math.isfinite(self.offset) and self.offset >= 0):
+                raise InputError(f"polynomial offset must be finite and >= 0, got {self.offset}")
 
     def to_string(self):
         if self.kind == "gaussian":
@@ -50,18 +51,6 @@ class KernelSpec:
         if self.kind == "polynomial":
             return f"poly:degree={self.degree},offset={self.offset!r}"
         return "linear"
-
-
-@dataclass(frozen=True)
-class GramMatrix:
-    """N x N kernel matrix together with the spec that produced it."""
-
-    entries: np.ndarray
-    source_spec: KernelSpec
-
-    @property
-    def n(self):
-        return self.entries.shape[0]
 
 
 def parse_kernel_spec(text):
@@ -101,20 +90,10 @@ def _parse_params(rest, schema):
     return params
 
 
-def kernel_eval(spec, x1, x2):
-    """Evaluate k(x1, x2) for a single pair of vectors."""
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    if x1.shape != x2.shape:
-        raise InputError(f"dimension mismatch: {x1.shape} vs {x2.shape}")
-    if spec.kind == "gaussian":
-        d = x1 - x2
-        # same reduction as gram_matrix/cross_kernel so the entrywise
-        # recomputation agrees to the last bit
-        return float(np.exp(-np.sum(d * d) / (2.0 * spec.sigma**2)))
-    if spec.kind == "linear":
-        return float(np.dot(x1, x2))
-    return float((np.dot(x1, x2) + spec.offset) ** spec.degree)
+def _finite(K):
+    if not np.all(np.isfinite(K)):
+        raise InputError("kernel values overflow or are undefined; check the kernel parameters")
+    return K
 
 
 def cross_kernel(spec, A, B):
@@ -128,11 +107,11 @@ def cross_kernel(spec, A, B):
         for i in range(A.shape[0]):
             d = B - A[i]
             K[i] = np.exp(-np.sum(d * d, axis=1) / (2.0 * spec.sigma**2))
-        return K
+        return _finite(K)
     P = A @ B.T
     if spec.kind == "linear":
-        return P
-    return (P + spec.offset) ** spec.degree
+        return _finite(P)
+    return _finite((P + spec.offset) ** spec.degree)
 
 
 def gram_matrix(spec, X):
@@ -161,14 +140,7 @@ def gram_matrix(spec, X):
                 row = (row + spec.offset) ** spec.degree
             K[i, i:] = row
             K[i:, i] = row
-    return GramMatrix(entries=K, source_spec=spec)
-
-
-def centering_matrix(n):
-    """Explicit J = I - (1/n) 11^T.  Kept for oracle tests; hot paths use center_columns."""
-    if n < 1:
-        raise InputError("centering_matrix requires n >= 1")
-    return np.eye(n) - np.full((n, n), 1.0 / n)
+    return _finite(K)
 
 
 def center_columns(K):

@@ -7,30 +7,21 @@ convention the rest of the package relies on.  The coupled eigenproblem
     M beta = lambda L alpha,    M^T alpha = lambda N beta
 
 with L, N symmetric positive definite is reduced by whitening: factor
-L = R_L^T R_L and N = R_N^T R_N, form G = R_L^{-T} M R_N^{-1}, and read
+L = C_L C_L^T and N = C_N C_N^T, form G = C_L^{-1} M C_N^{-T}, and read
 the solution off the SVD of G.  This keeps every lambda real and >= 0 and
 gives components orthonormal in the L- and N-metrics by construction.
+Kernel CCA and linear CCA are both this computation on different matrices.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs, solve_triangular
 
 from .errors import InputError, NotPositiveDefiniteError, SingularRegularizationError
-
-
-@dataclass(frozen=True)
-class CholeskyFactor:
-    """Lower-triangular factor C with C @ C.T equal to the (jittered) input."""
-
-    lower: np.ndarray
-
-    @property
-    def source_dim(self):
-        return self.lower.shape[0]
 
 
 @dataclass(frozen=True)
@@ -48,15 +39,14 @@ class PairedEigSolution:
 
 
 def cholesky(A, jitter=0.0):
-    """Lower Cholesky factor of A + jitter*I.
+    """Lower Cholesky factor C of A + jitter*I, so that C @ C.T equals it.
 
     Raises NotPositiveDefiniteError with the failing pivot index when the
     input (after jitter) is not positive definite.
     """
-    A = np.asarray(A, dtype=float)
-    if jitter < 0:
-        raise InputError("jitter must be >= 0")
-    work = A.copy()
+    if not (math.isfinite(jitter) and jitter >= 0):
+        raise InputError(f"jitter must be finite and >= 0, got {jitter}")
+    work = np.array(A, dtype=float, order="C")
     if jitter:
         work[np.diag_indices_from(work)] += jitter
     (potrf,) = get_lapack_funcs(("potrf",), (work,))
@@ -65,21 +55,17 @@ def cholesky(A, jitter=0.0):
         raise NotPositiveDefiniteError(pivot=info - 1)
     if info < 0:
         raise InputError(f"illegal value in argument {-info} of potrf")
-    return CholeskyFactor(lower=c)
+    return c
 
 
-def solve_lower_triangular(factor, B):
-    """Solve lower @ X = B by forward substitution."""
-    if np.any(np.diag(factor.lower) == 0.0):
-        raise AssertionError("Cholesky factor has a zero diagonal entry")
-    return solve_triangular(factor.lower, np.asarray(B, dtype=float), lower=True)
+def solve_lower_triangular(C, B):
+    """Solve C @ X = B by forward substitution (C lower triangular)."""
+    return solve_triangular(C, np.asarray(B, dtype=float), lower=True)
 
 
-def solve_lower_transposed(factor, B):
-    """Solve lower.T @ X = B by back substitution."""
-    if np.any(np.diag(factor.lower) == 0.0):
-        raise AssertionError("Cholesky factor has a zero diagonal entry")
-    return solve_triangular(factor.lower, np.asarray(B, dtype=float), lower=True, trans="T")
+def solve_lower_transposed(C, B):
+    """Solve C.T @ X = B by back substitution (C lower triangular)."""
+    return solve_triangular(C, np.asarray(B, dtype=float), lower=True, trans="T")
 
 
 def svd(A):
@@ -101,6 +87,20 @@ def svd(A):
             U[:, k] = -U[:, k]
             V[:, k] = -V[:, k]
     return SvdResult(U=U, s=s, V=V)
+
+
+def whitened_svd(M, CL, CN, d):
+    """Top-d solution of the coupled problem given lower factors of L and N.
+
+    Forms G = CL^{-1} M CN^{-T}, takes its sign-fixed SVD and back-solves
+    the singular vectors, so alpha_k^T L alpha_k = beta_k^T N beta_k = 1.
+    """
+    Y = solve_lower_triangular(CL, M)
+    G = solve_lower_triangular(CN, Y.T).T
+    res = svd(G)
+    alphas = solve_lower_transposed(CL, res.U[:, :d])
+    betas = solve_lower_transposed(CN, res.V[:, :d])
+    return PairedEigSolution(alphas=alphas, betas=betas, lambdas=res.s[:d].copy())
 
 
 def _factor_with_retry(A, jitter, what):
@@ -128,12 +128,8 @@ def solve_paired_eig(M, L, Nmat, d, jitter=0.0):
     n = M.shape[0]
     if d > n:
         raise InputError(f"requested {d} components from an order-{n} problem")
+    if not all(np.all(np.isfinite(A)) for A in (M, L, Nmat)):
+        raise InputError("M, L or N has non-finite entries; the kernel values are too large")
     CL = _factor_with_retry(np.asarray(L, dtype=float), jitter, "left metric L")
     CN = _factor_with_retry(np.asarray(Nmat, dtype=float), jitter, "right metric N")
-    # G = C_L^{-1} M C_N^{-T}
-    Y = solve_lower_triangular(CL, M)
-    G = solve_lower_triangular(CN, Y.T).T
-    res = svd(G)
-    alphas = solve_lower_transposed(CL, res.U[:, :d])
-    betas = solve_lower_transposed(CN, res.V[:, :d])
-    return PairedEigSolution(alphas=alphas, betas=betas, lambdas=res.s[:d].copy())
+    return whitened_svd(M, CL, CN, d)

@@ -8,10 +8,14 @@ eigenproblem that works on the doubled symmetric system
     [[0, M], [M^T, 0]] w = lambda [[L, 0], [0, N]] w
 
 whose eigenvalues come in +/- pairs; the positive half must match the
-library's whitened-SVD solution.
+library's whitened-SVD solution.  `kernel_eval` (one kernel value per
+pair) and `centering_matrix` (an explicit J) are the references for
+`gram_matrix`/`cross_kernel` and `center_columns`.
 """
 
 import numpy as np
+
+from kcca.errors import InputError
 
 
 def cholesky_ref(A):
@@ -108,3 +112,26 @@ def mln_ref(kx, ky, eta1, eta2, rkhs=True):
         L = L + eta1 * np.eye(n)
         N = N + eta2 * np.eye(n)
     return M, L, N
+
+
+def kernel_eval(spec, x1, x2):
+    """Evaluate k(x1, x2) for a single pair of vectors."""
+    x1 = np.asarray(x1, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    if x1.shape != x2.shape:
+        raise InputError(f"dimension mismatch: {x1.shape} vs {x2.shape}")
+    if spec.kind == "gaussian":
+        d = x1 - x2
+        # same reduction as gram_matrix/cross_kernel so the entrywise
+        # recomputation agrees to the last bit
+        return float(np.exp(-np.sum(d * d) / (2.0 * spec.sigma**2)))
+    if spec.kind == "linear":
+        return float(np.dot(x1, x2))
+    return float((np.dot(x1, x2) + spec.offset) ** spec.degree)
+
+
+def centering_matrix(n):
+    """Explicit J = I - (1/n) 11^T.  Kept for oracle tests; hot paths use center_columns."""
+    if n < 1:
+        raise InputError("centering_matrix requires n >= 1")
+    return np.eye(n) - np.full((n, n), 1.0 / n)

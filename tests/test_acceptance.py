@@ -45,8 +45,7 @@ def gauss_config(sigma, eta):
 
 
 def _diag_offdiag(table):
-    v = table.values
-    return np.diag(v), (abs(v[0, 1]) + abs(v[1, 0])) / 2.0
+    return np.diag(table), (abs(table[0, 1]) + abs(table[1, 0])) / 2.0
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +58,7 @@ def sim1_runs():
         t_fit = time.perf_counter() - t0
         tr_tab = correlation_table(project(model, "x", train.x), project(model, "y", train.y))
         te_tab = correlation_table(
-            project(model, "x", test.x), project(model, "y", test.y), split="test"
+            project(model, "x", test.x), project(model, "y", test.y)
         )
         lin = fit_linear_cca(train, d=2, ridge=1e-10)
         lin_tab = correlation_table(
@@ -110,7 +109,7 @@ def test_criterion_1_sim1_kcca(sim1_runs):
 def test_criterion_2_sim1_linear_baseline(sim1_runs):
     rho1 = np.array([r["linear"].rhos[0] for r in sim1_runs])
     rho2 = np.array([r["linear"].rhos[1] for r in sim1_runs])
-    kcca_rho1 = np.array([r["kcca_train"].values[0, 0] for r in sim1_runs])
+    kcca_rho1 = np.array([r["kcca_train"][0, 0] for r in sim1_runs])
     gaps = kcca_rho1 - rho1
     ok = (
         0.55 <= rho1.mean() <= 0.85
@@ -134,10 +133,10 @@ def test_criterion_3_sim2_kcca():
         times.append(time.perf_counter() - t0)
         tr = correlation_table(project(model, "x", train.x), project(model, "y", train.y))
         te = correlation_table(
-            project(model, "x", test.x), project(model, "y", test.y), split="test"
+            project(model, "x", test.x), project(model, "y", test.y)
         )
-        tr_diags.append(np.diag(tr.values))
-        te_diags.append(np.diag(te.values))
+        tr_diags.append(np.diag(tr))
+        te_diags.append(np.diag(te))
     mt = np.mean(tr_diags, axis=0)
     me = np.mean(te_diags, axis=0)
     slow = max(times)
@@ -191,7 +190,7 @@ def test_criterion_5_linear_kernel_reduction():
         lin = fit_linear_cca(data, d=2, ridge=1e-10)
         km = fit_kcca(data, cfg)
         table = correlation_table(project(km, "x", X), project(km, "y", Y))
-        worst = max(worst, float(np.max(np.abs(np.diag(table.values) - lin.rhos))))
+        worst = max(worst, float(np.max(np.abs(np.diag(table) - lin.rhos))))
     _report(5, worst <= 1e-3, f"20 datasets, worst train-correlation gap {worst:.2e} <= 1e-3")
 
 
@@ -229,16 +228,16 @@ def test_criterion_6_numerical_invariants():
     Q, _ = np.linalg.qr(rng.normal(size=(10, 10)))
     S = Q @ np.diag(rng.uniform(0.1, 4.0, 10)) @ Q.T
     S = 0.5 * (S + S.T)
-    C = cholesky(S).lower
+    C = cholesky(S)
     checks.append(
         ("cholesky reconstruction", np.max(np.abs(C @ C.T - S)) <= 1e-10 * np.max(np.diag(S)))
     )
 
     # correlation bounds and Pearson >= lambda_k
     tab = correlation_table(project(model, "x", train.x), project(model, "y", train.y))
-    checks.append(("correlation entries bounded", np.all(np.abs(tab.values) <= 1.0)))
+    checks.append(("correlation entries bounded", np.all(np.abs(tab) <= 1.0)))
     checks.append(
-        ("train Pearson >= lambda", np.all(np.diag(tab.values) >= model.lambdas - 1e-8))
+        ("train Pearson >= lambda", np.all(np.diag(tab) >= model.lambdas - 1e-8))
     )
 
     # gaussian translation invariance of lambdas

@@ -210,7 +210,7 @@ class TestEvalAndTransform:
         report = tmp_path / "report.json"
         main(["eval", "--model", str(model), "--train", str(tr), "--test", str(te), "--report", str(report)])
         expected = np.array(json.loads(report.read_text())["train_table"])
-        np.testing.assert_allclose(correlation_table(U, V).values, expected, atol=1e-12)
+        np.testing.assert_allclose(correlation_table(U, V), expected, atol=1e-12)
 
     def test_transform_row_count(self, fitted, tmp_path):
         tr, te, model = fitted
@@ -248,3 +248,97 @@ class TestEndToEndDeterminism:
             main(["eval", "--model", str(model), "--train", str(tr), "--test", str(te), "--report", str(report)])
             reports.append(report.read_bytes())
         assert reports[0] == reports[1]
+
+
+def assert_one_domain_error(rc, capsys):
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert len(err.splitlines()) == 1 and err.startswith("error[domain]:"), err
+
+
+class TestBadInputOneErrorLine:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x1,x2,y1,y2\n1,2,3,4\n1,abc,3,4\n",
+            "x1,x2,y1,y2\n1,2,3,4\n1,,3,4\n",
+            "x1,x2,y1,y2,label\n1,2,3,4,0\n1,2,3,4,1.5\n",
+            "x1,x2,y1,y2,label\n1,2,3,4,0\n1,2,3,4,one\n",
+            "x1,x2,y1,y2\n1,2,3,4\n1,nan,3,4\n",
+            "x1,x2,y1,y2\n1,2,3,4\n1,2,inf,4\n",
+            "x1,x2,y1,y2\n1,2,3,4\n1,2,3,-inf\n",
+            "x1,x2,y1,y2\n1,2,3,4\n1,2,3\n",
+            "x1,x2,y1,y2\n1,2,3,4\n\xff\xfe,2,3,4\n",
+        ],
+        ids=[
+            "non-numeric", "empty-field", "float-label", "word-label", "nan", "inf", "-inf",
+            "short-row", "not-utf8",
+        ],
+    )
+    def test_bad_csv_values(self, tmp_path, capsys, text):
+        data = tmp_path / "d.csv"
+        data.write_bytes(text.encode("latin-1"))
+        assert_one_domain_error(main(["fit", "--data", str(data), "--model", str(tmp_path / "m.json")]), capsys)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--eta", "nan"],
+            ["--eta", "inf"],
+            ["--eta1", "nan"],
+            ["--eta2", "nan"],
+            ["--jitter", "nan"],
+            ["--jitter", "inf"],
+            ["--method", "linear", "--ridge", "nan"],
+            ["--kernel-x", "gaussian:sigma=inf"],
+            ["--kernel-y", "gaussian:sigma=nan"],
+            ["--kernel-x", "poly:offset=nan"],
+            ["--kernel-y", "poly:offset=inf"],
+            ["--kernel-x", "gaussian:sigma=1e-200"],
+            ["--reg", "dual-l2", "--kernel-y", "poly:degree=400"],
+        ],
+        ids=" ".join,
+    )
+    def test_non_finite_flags(self, tmp_path, capsys, flags):
+        tr, _ = simulate(tmp_path, train=10, test=5)
+        rc = main(["fit", "--data", str(tr), "--model", str(tmp_path / "m.json"), *flags])
+        assert_one_domain_error(rc, capsys)
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda text, doc: text[:300],
+            lambda text, doc: json.dumps({k: v for k, v in doc.items() if k != "train_x"}),
+            lambda text, doc: json.dumps({**doc, "config": 5}),
+            lambda text, doc: json.dumps({**doc, "config": {**doc["config"], "kernel_x": 1}}),
+            lambda text, doc: json.dumps({**doc, "config": {**doc["config"], "eta1": "1"}}),
+            lambda text, doc: json.dumps([doc]),
+            lambda text, doc: json.dumps({**doc, "method": ["kcca"]}),
+            lambda text, doc: json.dumps({**doc, "alphas": doc["alphas"][:-1]}),
+            lambda text, doc: json.dumps({**doc, "betas": [row[:1] for row in doc["betas"]]}),
+            lambda text, doc: json.dumps({**doc, "alphas": [[float("nan")] * 2] + doc["alphas"][1:]}),
+            lambda text, doc: json.dumps({**doc, "train_y": [["a", "b"]] * len(doc["train_y"])}),
+        ],
+        ids=[
+            "truncated", "missing-key", "config-int", "kernel-int", "eta-string", "top-level-list", "method-list",
+            "alphas-rows", "betas-cols", "nan-alphas", "string-entries",
+        ],
+    )
+    def test_malformed_model_json(self, tmp_path, capsys, corrupt):
+        tr, te = simulate(tmp_path, train=10, test=5)
+        model = tmp_path / "m.json"
+        assert main(["fit", "--data", str(tr), "--model", str(model)]) == 0
+        text = model.read_text()
+        model.write_text(corrupt(text, json.loads(text)))
+        capsys.readouterr()
+        rc = main(["transform", "--model", str(model), "--data", str(te), "--side", "x", "--out", str(tmp_path / "f.csv")])
+        assert_one_domain_error(rc, capsys)
+
+    def test_lambda_above_one_is_rejected(self, tmp_path, capsys):
+        tr, _ = simulate(tmp_path, train=40, test=5, seed=8)
+        model = tmp_path / "m.json"
+        rc = main(["fit", "--data", str(tr), "--eta", "1e-12", "--model", str(model)])
+        err = capsys.readouterr().err
+        assert rc == 3 and err.startswith("error[domain]: largest lambda 1.0000") and "eta" in err
+        assert not model.exists()

@@ -5,13 +5,12 @@ from kcca.errors import InputError, NotPositiveDefiniteError
 from kcca.kernels import (
     KernelSpec,
     center_columns,
-    centering_matrix,
     cross_kernel,
     gram_matrix,
-    kernel_eval,
     parse_kernel_spec,
 )
 from kcca.linalg import cholesky
+from oracles import centering_matrix, kernel_eval
 
 GAUSS1 = KernelSpec("gaussian", sigma=1.0)
 
@@ -55,17 +54,17 @@ class TestKernelEval:
 class TestGramMatrix:
     def test_identical_rows(self):
         K = gram_matrix(GAUSS1, np.array([[1.0, 2.0], [1.0, 2.0]]))
-        np.testing.assert_array_equal(K.entries, np.ones((2, 2)))
+        np.testing.assert_array_equal(K, np.ones((2, 2)))
 
     def test_linear_identity_rows(self):
         K = gram_matrix(KernelSpec("linear"), np.eye(2))
-        np.testing.assert_array_equal(K.entries, np.eye(2))
+        np.testing.assert_array_equal(K, np.eye(2))
 
     def test_entrywise_recomputation(self):
         rng = np.random.default_rng(1)
         X = rng.uniform(0.0, 1.0, (5, 2))
         spec = KernelSpec("gaussian", sigma=0.1)
-        K = gram_matrix(spec, X).entries
+        K = gram_matrix(spec, X)
         for i in range(5):
             for j in range(i, 5):
                 expect = kernel_eval(spec, X[i], X[j])
@@ -76,12 +75,12 @@ class TestGramMatrix:
         rng = np.random.default_rng(2)
         for spec in (GAUSS1, KernelSpec("linear"), KernelSpec("polynomial")):
             X = rng.normal(size=(17, 3))
-            K = gram_matrix(spec, X).entries
+            K = gram_matrix(spec, X)
             assert np.array_equal(K, K.T)
 
     def test_gaussian_diag_exactly_one(self):
         rng = np.random.default_rng(3)
-        K = gram_matrix(GAUSS1, rng.normal(size=(10, 4))).entries
+        K = gram_matrix(GAUSS1, rng.normal(size=(10, 4)))
         np.testing.assert_array_equal(np.diag(K), np.ones(10))
 
     def test_translation_bit_identical(self):
@@ -89,14 +88,14 @@ class TestGramMatrix:
         rng = np.random.default_rng(4)
         X = rng.integers(-8, 9, size=(12, 2)) / 8.0
         shift = np.array([0.5, -2.25])
-        K0 = gram_matrix(GAUSS1, X).entries
-        K1 = gram_matrix(GAUSS1, X + shift).entries
+        K0 = gram_matrix(GAUSS1, X)
+        K1 = gram_matrix(GAUSS1, X + shift)
         assert np.array_equal(K0, K1)
 
     def test_gaussian_psd(self):
         rng = np.random.default_rng(5)
         for n in (3, 20, 50):
-            K = gram_matrix(KernelSpec("gaussian", sigma=0.7), rng.normal(size=(n, 3))).entries
+            K = gram_matrix(KernelSpec("gaussian", sigma=0.7), rng.normal(size=(n, 3)))
             assert np.linalg.eigvalsh(K).min() >= -1e-8 * np.mean(np.diag(K))
             # the library's own factorization accepts K once shifted by the tolerance
             cholesky(K, jitter=1e-8 * np.mean(np.diag(K)) + 1e-12)
@@ -151,7 +150,7 @@ class TestCrossKernel:
         X = rng.normal(size=(6, 2))
         for spec in (GAUSS1, KernelSpec("linear"), KernelSpec("polynomial")):
             np.testing.assert_allclose(
-                cross_kernel(spec, X, X), gram_matrix(spec, X).entries, atol=1e-14
+                cross_kernel(spec, X, X), gram_matrix(spec, X), atol=1e-14
             )
 
     def test_mismatch(self):

@@ -21,10 +21,10 @@ def random_spd(rng, n, cond=10.0):
 
 class TestCholesky:
     def test_identity(self):
-        np.testing.assert_array_equal(cholesky(np.eye(3)).lower, np.eye(3))
+        np.testing.assert_array_equal(cholesky(np.eye(3)), np.eye(3))
 
     def test_hand_example(self):
-        C = cholesky(np.array([[4.0, 2.0], [2.0, 3.0]])).lower
+        C = cholesky(np.array([[4.0, 2.0], [2.0, 3.0]]))
         np.testing.assert_allclose(C, [[2.0, 0.0], [1.0, np.sqrt(2.0)]], atol=1e-15)
 
     def test_indefinite_reports_pivot(self):
@@ -36,7 +36,7 @@ class TestCholesky:
         rng = np.random.default_rng(0)
         for n in (2, 5, 30):
             A = random_spd(rng, n)
-            C = cholesky(A).lower
+            C = cholesky(A)
             err = np.max(np.abs(C @ C.T - A))
             assert err <= 1e-10 * np.max(np.diag(A))
             assert np.all(np.diag(C) > 0)
@@ -45,7 +45,7 @@ class TestCholesky:
         A = np.ones((3, 3))  # rank 1
         with pytest.raises(NotPositiveDefiniteError):
             cholesky(A)
-        C = cholesky(A, jitter=1e-8).lower
+        C = cholesky(A, jitter=1e-8)
         assert np.all(np.diag(C) > 0)
 
     def test_negative_jitter(self):
