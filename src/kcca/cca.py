@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,15 +205,16 @@ def fit_linear_cca(data, d, ridge=0.0):
     if data.n < 2:
         raise InputError("linear CCA needs at least 2 samples")
     n_x, n_y = data.x.shape[1], data.y.shape[1]
-    if d > min(n_x, n_y):
+    if not 1 <= d <= min(n_x, n_y):
         raise InputError(f"cannot extract {d} components from dimensions ({n_x}, {n_y})")
+    _check_ridge(ridge)
     mean_x = data.x.mean(axis=0)
     mean_y = data.y.mean(axis=0)
     Xc = data.x - mean_x
     Yc = data.y - mean_y
     n = data.n
-    Cxx = _mirror_upper(Xc.T @ Xc / n)
-    Cyy = _mirror_upper(Yc.T @ Yc / n)
+    Cxx = Xc.T @ Xc / n  # numpy's X.T @ X is a symmetric rank-k update: exactly symmetric
+    Cyy = Yc.T @ Yc / n
     Cxy = Xc.T @ Yc / n
     try:
         fx = linalg.cholesky(Cxx, ridge)
@@ -228,6 +230,12 @@ def fit_linear_cca(data, d, ridge=0.0):
     return LinearCcaModel(
         mean_x=mean_x, mean_y=mean_y, A=sol.alphas, B=sol.betas, rhos=rhos, ridge=ridge
     )
+
+
+def _check_ridge(ridge):
+    if not (isinstance(ridge, numbers.Real) and math.isfinite(ridge) and ridge >= 0):
+        raise InputError(f"ridge must be a finite number >= 0, got {ridge!r}")
+    return ridge
 
 
 def project_linear(model, side, points):
@@ -286,16 +294,17 @@ def model_to_dict(model):
 
 
 def _arrays(doc, fields, dims):
-    """Read `fields` of doc as finite float arrays whose dimension letters agree."""
+    """Read `fields` of doc as non-empty finite float arrays whose dimension letters agree."""
     out = {}
     for key, shape in fields.items():
         a = np.asarray(doc[key], dtype=float)
         if (
             a.ndim != len(shape)
+            or a.size == 0
             or not np.all(np.isfinite(a))
             or any(dims.setdefault(dim, m) != m for dim, m in zip(shape, a.shape))
         ):
-            raise InputError(f"model field {key!r} is not finite or has a wrong shape {a.shape}")
+            raise InputError(f"model field {key!r} is empty, non-finite or misshapen {a.shape}")
         out[key] = a
     return out
 
@@ -314,7 +323,8 @@ def model_from_dict(doc):
         if method == "kcca":
             config = config_from_dict(doc["config"])
             return KccaModel(config=config, **_arrays(doc, fields, {"d": config.d}))
-        return LinearCcaModel(ridge=doc.get("ridge", 0.0), **_arrays(doc, fields, {}))
+        ridge = _check_ridge(doc.get("ridge", 0.0))
+        return LinearCcaModel(ridge=ridge, **_arrays(doc, fields, {}))
     except InputError:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

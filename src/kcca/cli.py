@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -30,29 +31,24 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _fmt(v):
-    return format(float(v), ".17g")
-
-
-def _write_csv(path, lines):
+def _write_csv(path, header, fmt, rows):
+    """Header line, then `fmt % tuple(row)` per row; floats go through %.17g."""
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        fh.writelines(fmt % tuple(row) + "\n" for row in rows)
 
 
 def write_dataset(path, dataset):
     """CSV with header x1..x{nx},y1..y{ny}[,label], 17-significant-digit floats."""
-    n_x = dataset.x.shape[1]
-    n_y = dataset.y.shape[1]
-    cols = [f"x{i+1}" for i in range(n_x)] + [f"y{i+1}" for i in range(n_y)]
+    x, y = dataset.x, dataset.y
+    cols = [f"x{i+1}" for i in range(x.shape[1])] + [f"y{i+1}" for i in range(y.shape[1])]
+    fmt = ",".join(["%.17g"] * len(cols))
+    rows = np.hstack([x, y]).tolist()
     if dataset.labels is not None:
         cols.append("label")
-    lines = [",".join(cols)]
-    for i in range(dataset.n):
-        row = [_fmt(v) for v in dataset.x[i]] + [_fmt(v) for v in dataset.y[i]]
-        if dataset.labels is not None:
-            row.append(str(int(dataset.labels[i])))
-        lines.append(",".join(row))
-    _write_csv(path, lines)
+        fmt += ",%d"
+        rows = [row + [label] for row, label in zip(rows, dataset.labels.tolist())]
+    _write_csv(path, cols, fmt, rows)
 
 
 def read_dataset(path):
@@ -93,14 +89,6 @@ def read_dataset(path):
     return PairedDataset(x=x, y=y, labels=labels)
 
 
-def _write_features(path, feats, prefix):
-    cols = [f"{prefix}{k+1}" for k in range(feats.shape[1])]
-    lines = [",".join(cols)]
-    for row in feats:
-        lines.append(",".join(_fmt(v) for v in row))
-    _write_csv(path, lines)
-
-
 def cmd_simulate(args):
     if args.train < 1 or args.test < 1:
         raise UsageError("--train and --test must be >= 1")
@@ -124,9 +112,8 @@ def cmd_simulate(args):
 
 
 def _resolve_etas(args):
-    eta1 = args.eta1 if args.eta1 is not None else (args.eta if args.eta is not None else 1.0)
-    eta2 = args.eta2 if args.eta2 is not None else (args.eta if args.eta is not None else 1.0)
-    return eta1, eta2
+    eta = 1.0 if args.eta is None else args.eta
+    return (eta if args.eta1 is None else args.eta1), (eta if args.eta2 is None else args.eta2)
 
 
 def cmd_fit(args):
@@ -193,23 +180,16 @@ def cmd_eval(args):
 
 
 def _emit_plot_data(plot_dir, train, test, feats_tr, feats_te):
-    """Per-component u-v scatter CSVs; `order` ranks samples by the first
-    x coordinate within each split (the angle rank for the curve dataset)."""
-    import os
-
+    """Per-component u-v scatter CSVs, train rows then test rows; `order` ranks
+    a split's samples by their first x coordinate (the curve's angle rank)."""
     os.makedirs(plot_dir, exist_ok=True)
-    d = feats_tr[0].shape[1]
-    order_tr = np.argsort(np.argsort(train.x[:, 0])) + 1
-    order_te = np.argsort(np.argsort(test.x[:, 0])) + 1
-    for k in range(d):
-        lines = ["u,v,split,order"]
-        for (u, v), split, order in (
-            (feats_tr, "train", order_tr),
-            (feats_te, "test", order_te),
-        ):
-            for i in range(u.shape[0]):
-                lines.append(f"{_fmt(u[i, k])},{_fmt(v[i, k])},{split},{order[i]}")
-        _write_csv(os.path.join(plot_dir, f"component_{k+1}.csv"), lines)
+    u, v = (np.vstack(pair) for pair in zip(feats_tr, feats_te))
+    split = ["train"] * train.n + ["test"] * test.n
+    order = np.concatenate([np.argsort(np.argsort(s.x[:, 0])) + 1 for s in (train, test)]).tolist()
+    for k in range(u.shape[1]):
+        rows = zip(u[:, k].tolist(), v[:, k].tolist(), split, order)
+        path = os.path.join(plot_dir, f"component_{k+1}.csv")
+        _write_csv(path, ["u", "v", "split", "order"], "%.17g,%.17g,%s,%d", rows)
 
 
 def cmd_transform(args):
@@ -217,7 +197,9 @@ def cmd_transform(args):
     data = read_dataset(args.data)
     points = data.x if args.side == "x" else data.y
     feats = cca.project(model, args.side, points)
-    _write_features(args.out, feats, "u" if args.side == "x" else "v")
+    prefix = "u" if args.side == "x" else "v"
+    header = [f"{prefix}{k+1}" for k in range(feats.shape[1])]
+    _write_csv(args.out, header, ",".join(["%.17g"] * feats.shape[1]), feats.tolist())
     print(f"wrote {feats.shape[0]} rows x {feats.shape[1]} components to {args.out}")
     return 0
 

@@ -97,17 +97,26 @@ def _finite(K):
 
 
 def cross_kernel(spec, A, B):
-    """Kernel matrix between two sample sets: entry (i, j) = k(A_i, B_j)."""
+    """Kernel matrix between two sample sets: entry (i, j) = k(A_i, B_j).
+
+    The only kernel evaluator.  Gaussian squared distances are summed from
+    pairwise differences, sum_k (B_jk - A_ik)^2 in feature order (never the
+    expanded ||a||^2 - 2 a.b + ||b||^2, so only row differences matter),
+    then divided by -2 sigma^2 and exponentiated in place.
+    """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if A.shape[1] != B.shape[1]:
         raise InputError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
     if spec.kind == "gaussian":
-        K = np.empty((A.shape[0], B.shape[0]))
-        for i in range(A.shape[0]):
-            d = B - A[i]
-            K[i] = np.exp(-np.sum(d * d, axis=1) / (2.0 * spec.sigma**2))
-        return _finite(K)
+        K = np.zeros((A.shape[0], B.shape[0]))
+        d = np.empty_like(K)
+        for k in range(A.shape[1]):
+            np.subtract(B[:, k], A[:, k, None], out=d)
+            d *= d
+            K += d
+        K /= -2.0 * spec.sigma**2
+        return _finite(np.exp(K, out=K))
     P = A @ B.T
     if spec.kind == "linear":
         return _finite(P)
@@ -115,32 +124,16 @@ def cross_kernel(spec, A, B):
 
 
 def gram_matrix(spec, X):
-    """Build the N x N Gram matrix for the rows of X.
+    """N x N Gram matrix cross_kernel(spec, X, X), exactly symmetric.
 
-    Symmetry is structural: entries are computed for i <= j and mirrored,
-    so K == K.T holds to machine equality.  Gaussian kernels compute
-    pairwise row differences directly (never an expanded x^2 - 2xy + y^2
-    form), so the result depends only on differences between rows.
+    Gaussian entries (i, j) and (j, i) sum the same squares in the same
+    order; numpy evaluates X @ X.T of one array (X is converted once, so
+    both arguments are that array) as a symmetric rank-k update.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    n = X.shape[0]
-    if n < 1:
+    if X.shape[0] < 1:
         raise InputError("gram_matrix requires at least one sample")
-    K = np.empty((n, n))
-    if spec.kind == "gaussian":
-        denom = 2.0 * spec.sigma**2
-        for i in range(n):
-            d = X[i:] - X[i]
-            K[i, i:] = np.exp(-np.sum(d * d, axis=1) / denom)
-            K[i:, i] = K[i, i:]
-    else:
-        for i in range(n):
-            row = X[i:] @ X[i]
-            if spec.kind == "polynomial":
-                row = (row + spec.offset) ** spec.degree
-            K[i, i:] = row
-            K[i:, i] = row
-    return _finite(K)
+    return cross_kernel(spec, X, X)
 
 
 def center_columns(K):

@@ -122,8 +122,9 @@ def kernel_eval(spec, x1, x2):
         raise InputError(f"dimension mismatch: {x1.shape} vs {x2.shape}")
     if spec.kind == "gaussian":
         d = x1 - x2
-        # same reduction as gram_matrix/cross_kernel so the entrywise
-        # recomputation agrees to the last bit
+        # same reduction as gram_matrix/cross_kernel, so the entrywise
+        # recomputation is bit-equal below 8 features (numpy's pairwise
+        # summation changes the order from 8 up)
         return float(np.exp(-np.sum(d * d) / (2.0 * spec.sigma**2)))
     if spec.kind == "linear":
         return float(np.dot(x1, x2))

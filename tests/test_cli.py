@@ -290,6 +290,8 @@ class TestBadInputOneErrorLine:
             ["--jitter", "nan"],
             ["--jitter", "inf"],
             ["--method", "linear", "--ridge", "nan"],
+            ["--method", "linear", "--components", "-1"],
+            ["--method", "linear", "--components", "0"],
             ["--kernel-x", "gaussian:sigma=inf"],
             ["--kernel-y", "gaussian:sigma=nan"],
             ["--kernel-x", "poly:offset=nan"],
@@ -334,6 +336,33 @@ class TestBadInputOneErrorLine:
         capsys.readouterr()
         rc = main(["transform", "--model", str(model), "--data", str(te), "--side", "x", "--out", str(tmp_path / "f.csv")])
         assert_one_domain_error(rc, capsys)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda doc: {**doc, "ridge": "abc"},
+            lambda doc: {**doc, "ridge": -1.0},
+            lambda doc: {**doc, "ridge": None},
+            lambda doc: {**doc, "A": [[]] * len(doc["A"]), "B": [[]] * len(doc["B"]), "rhos": []},
+        ],
+        ids=["ridge-string", "ridge-negative", "ridge-null", "no-components"],
+    )
+    def test_malformed_linear_model(self, tmp_path, capsys, corrupt):
+        tr, te = simulate(tmp_path, train=10, test=5)
+        model = tmp_path / "m.json"
+        assert main(["fit", "--data", str(tr), "--method", "linear", "--model", str(model)]) == 0
+        model.write_text(json.dumps(corrupt(json.loads(model.read_text()))))
+        capsys.readouterr()
+        report = tmp_path / "r.json"
+        rc = main(["eval", "--model", str(model), "--train", str(tr), "--test", str(te), "--report", str(report)])
+        assert_one_domain_error(rc, capsys)
+        assert not report.exists()
+
+    def test_negative_ridge_names_ridge(self, tmp_path, capsys):
+        tr, _ = simulate(tmp_path, train=10, test=5)
+        rc = main(["fit", "--data", str(tr), "--method", "linear", "--ridge", "-1", "--model", str(tmp_path / "m.json")])
+        err = capsys.readouterr().err
+        assert rc == 3 and err.startswith("error[domain]: ridge must be") and "-1" in err
 
     def test_lambda_above_one_is_rejected(self, tmp_path, capsys):
         tr, _ = simulate(tmp_path, train=40, test=5, seed=8)

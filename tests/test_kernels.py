@@ -62,21 +62,25 @@ class TestGramMatrix:
 
     def test_entrywise_recomputation(self):
         rng = np.random.default_rng(1)
-        X = rng.uniform(0.0, 1.0, (5, 2))
-        spec = KernelSpec("gaussian", sigma=0.1)
-        K = gram_matrix(spec, X)
-        for i in range(5):
-            for j in range(i, 5):
-                expect = kernel_eval(spec, X[i], X[j])
-                assert K[i, j] == expect
-                assert K[j, i] == expect
+        # below 8 features the reductions agree to the last bit; from 8 up,
+        # numpy's pairwise sum in kernel_eval may differ in the last bits
+        for p, sigma, rtol in ((2, 0.1, 0.0), (9, 1.0, 1e-13)):
+            X = rng.uniform(0.0, 1.0, (5, p))
+            spec = KernelSpec("gaussian", sigma=sigma)
+            K = gram_matrix(spec, X)
+            for i in range(5):
+                for j in range(i, 5):
+                    expect = kernel_eval(spec, X[i], X[j])
+                    assert K[i, j] == pytest.approx(expect, rel=rtol, abs=0.0)
+                    assert K[j, i] == K[i, j]
 
     def test_exact_symmetry(self):
         rng = np.random.default_rng(2)
+        big = np.random.default_rng(20).normal(size=(300, 3))
         for spec in (GAUSS1, KernelSpec("linear"), KernelSpec("polynomial")):
-            X = rng.normal(size=(17, 3))
-            K = gram_matrix(spec, X)
-            assert np.array_equal(K, K.T)
+            for X in (rng.normal(size=(17, 3)), big):
+                K = gram_matrix(spec, X)
+                assert np.array_equal(K, K.T)
 
     def test_gaussian_diag_exactly_one(self):
         rng = np.random.default_rng(3)
@@ -149,9 +153,7 @@ class TestCrossKernel:
         rng = np.random.default_rng(7)
         X = rng.normal(size=(6, 2))
         for spec in (GAUSS1, KernelSpec("linear"), KernelSpec("polynomial")):
-            np.testing.assert_allclose(
-                cross_kernel(spec, X, X), gram_matrix(spec, X), atol=1e-14
-            )
+            np.testing.assert_array_equal(cross_kernel(spec, X, X), gram_matrix(spec, X))
 
     def test_mismatch(self):
         with pytest.raises(InputError):
