@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -332,9 +333,17 @@ def model_from_dict(doc):
 
 
 def save_model(model, path):
-    with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    """Write beside `path` first, then rename over it: an error leaves `path` as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "x")  # outside the try: a name already taken is not ours to delete
+    try:
+        with fh:
+            json.dump(model_to_dict(model), fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_model(path):

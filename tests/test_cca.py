@@ -352,6 +352,21 @@ class TestSerialization:
         )
         assert loaded.ridge == model.ridge
 
+    def test_failed_save_keeps_existing_model(self, tmp_path, monkeypatch):
+        model = fit_linear_cca(random_paired(np.random.default_rng(25), 20), d=2, ridge=1e-9)
+        path = tmp_path / "model.json"
+        cca.save_model(model, path)
+        before = path.read_bytes()
+
+        def fail(*args, **kwargs):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(cca.json, "dump", fail)
+        with pytest.raises(OSError, match="no space"):
+            cca.save_model(model, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
     def test_schema_checked(self):
         with pytest.raises(InputError):
             model_from_dict({"schema": "other/9", "method": "kcca"})

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kcca import linalg
 from kcca.errors import InputError, NotPositiveDefiniteError, SingularRegularizationError
 from kcca.linalg import (
     cholesky,
@@ -112,6 +113,86 @@ class TestSvd:
     def test_non_finite_rejected(self):
         with pytest.raises(InputError):
             svd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def with_spectrum(rng, s):
+    n = len(s)
+    Q1, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    Q2, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return (Q1 * s) @ Q2.T
+
+
+def forbid(monkeypatch, name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"linalg.{name} was called")
+
+    monkeypatch.setattr(linalg, name, fail)
+
+
+class TestTopDSvd:
+    """`svd(A, d)` on a square A of order n >= TOP_D_RATIO * d avoids the full SVD."""
+
+    # s_2 = 3e-3 s_1: the square root of A^T A's 2nd eigenvalue is ~4e-12 off
+    # in relative terms, so rtol 1e-12 needs the Rayleigh-Ritz step
+    SPECTRUM = np.concatenate([[1.0, 3e-3], 1e-3 * 0.8 ** np.arange(298.0)])
+
+    def test_matches_full_svd(self, monkeypatch):
+        A = with_spectrum(np.random.default_rng(30), self.SPECTRUM)
+        ref = svd(A)
+        forbid(monkeypatch, "_full_svd")
+        res = svd(A, 2)
+        np.testing.assert_allclose(res.s, ref.s[:2], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(res.U, ref.U[:, :2], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(res.V, ref.V[:, :2], rtol=0, atol=1e-10)
+
+    def test_repeat_calls_bit_identical(self):
+        A = with_spectrum(np.random.default_rng(31), self.SPECTRUM)
+        r1, r2 = svd(A, 2), svd(A.copy(), 2)
+        for f in ("U", "s", "V"):
+            assert np.array_equal(getattr(r1, f), getattr(r2, f))
+
+    @pytest.mark.parametrize("shape, d", [((63, 63), 2), ((300, 300), 10), ((300, 200), 2)])
+    def test_below_ratio_or_non_square_truncates_full_svd(self, monkeypatch, shape, d):
+        A = np.random.default_rng(32).normal(size=shape)
+        ref = svd(A)
+        forbid(monkeypatch, "eigh")
+        res = svd(A, d)
+        np.testing.assert_array_equal(res.s, ref.s[:d])
+        np.testing.assert_array_equal(res.U, ref.U[:, :d])
+        np.testing.assert_array_equal(res.V, ref.V[:, :d])
+
+    def test_guard_falls_back_on_small_kept_values(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        A = rng.normal(size=(300, 2)) @ rng.normal(size=(2, 300))  # rank 2, d = 5
+        ref = svd(A)
+        calls = []
+        eigh = linalg.eigh
+
+        def counted_eigh(*args, **kwargs):
+            calls.append(kwargs["subset_by_index"])
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "eigh", counted_eigh)
+        res = svd(A, 5)
+        assert calls == [[295, 299]]  # the top-d path ran, then the guard sent A back
+        np.testing.assert_array_equal(res.s, ref.s[:5])
+        np.testing.assert_array_equal(res.U, ref.U[:, :5])
+        np.testing.assert_array_equal(res.V, ref.V[:, :5])
+
+    @pytest.mark.parametrize("d", [0, 3])
+    def test_component_count_checked(self, d):
+        with pytest.raises(InputError):
+            svd(np.eye(2), d)
+
+    def test_paired_eig_top_two_match_full_solve(self):
+        rng = np.random.default_rng(34)
+        n = 256
+        M, L, N = rng.normal(size=(n, n)), random_spd(rng, n), random_spd(rng, n)
+        full = solve_paired_eig(M, L, N, d=n)
+        top = solve_paired_eig(M, L, N, d=2)
+        np.testing.assert_allclose(top.lambdas, full.lambdas[:2], rtol=1e-12, atol=0)
+        for got, ref in ((top.alphas, full.alphas[:, :2]), (top.betas, full.betas[:, :2])):
+            assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(np.abs(ref))
 
 
 class TestPairedEig:
