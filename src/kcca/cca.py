@@ -1,23 +1,27 @@
 """Model fitting, projection and correlation-table evaluation.
 
-Two fitters live here.  `fit_linear_cca` is the classical primal method:
-whiten the (ridged) covariance blocks with Cholesky factors and take the
-SVD of the whitened cross-covariance.  `fit_kcca` is the kernelized dual
-method: with Gram matrices Kx, Ky and the centering operator J it builds
+`fit_linear_cca` is classical primal CCA: whiten the (ridged) covariance
+blocks with Cholesky factors and take the SVD of the whitened
+cross-covariance.  `fit_kcca` is the kernelized dual method: with Gram
+matrices Kx, Ky and the centering operator J it solves
 
-    M = (1/N) Kx^T J Ky
-    L = (1/N) Kx^T J Kx + eta1 * Rx
-    N = (1/N) Ky^T J Ky + eta2 * Ry
+    M beta = lambda L alpha,    M^T alpha = lambda N beta,
+    M = (1/N) Kx^T J Ky,  L = (1/N) Kx^T J Kx + eta1 * Rx,  N likewise,
 
 where the regularizer R is the Gram matrix itself ("rkhs" mode, penalizing
 the feature-space norms ||a||^2, ||b||^2) or the identity ("dual_l2" mode,
-penalizing the dual coefficient norms), and solves the coupled eigenproblem
-M beta = lambda L alpha, M^T alpha = lambda N beta.  Both fitters end in
-the same whitened SVD, `linalg.whitened_svd`.
+penalizing the dual coefficient norms), without forming these n x n
+matrices.  Each Gram is factored once, K ~ G G^T with r << n columns
+(`linalg.pivoted_cholesky`), which makes the problem ridge CCA on r features
+F: `build_mln` assembles the r x r M, L and N.  rkhs uses F = G; its alpha
+is zero off the pivot rows P and alpha[P] = G[P]^{-T} w, so that
+K alpha = G w.  dual_l2 uses the thin SVD G = U S W^T, F = U S^2 and
+alpha = U c.  Both fitters end in the same whitened SVD, `linalg.whitened_svd`.
 
 Projection of new points is the raw representer sum u(x*) = sum_i
-alpha_ik k(x_i, x*), uncentered; correlation tables are Pearson
-correlations centered by the means of whichever split is being evaluated.
+alpha_ik k(x_i, x*), uncentered, over the rows with a nonzero alpha;
+correlation tables are Pearson correlations centered by the means of
+whichever split is being evaluated.
 """
 
 from __future__ import annotations
@@ -31,19 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import (
-    DegenerateFeatureError,
-    InputError,
-    NotPositiveDefiniteError,
-    NumericalError,
-)
-from .kernels import (
-    KernelSpec,
-    cross_kernel,
-    center_columns,
-    gram_matrix,
-    parse_kernel_spec,
-)
+from .errors import DegenerateFeatureError, InputError, NotPositiveDefiniteError, NumericalError
+from .kernels import KernelSpec, cross_kernel, gram_matrix, parse_kernel_spec
 
 MODEL_SCHEMA = "kcca-model/1"
 
@@ -81,6 +74,8 @@ class KccaModel:
     alphas: np.ndarray
     betas: np.ndarray
     lambdas: np.ndarray
+    # {"rank": [r_x, r_y], "jitter": [j_L, j_N]}: Gram ranks and the jitter the solve applied
+    diagnostics: dict | None = None
 
 
 @dataclass(frozen=True)
@@ -93,42 +88,44 @@ class LinearCcaModel:
     ridge: float = 0.0
 
 
-def _mirror_upper(S):
-    # structural symmetrization: keep i <= j, mirror below
-    U = np.triu(S)
-    return U + np.triu(S, 1).T
+def build_mln(Fx, Fy, config):
+    """The r x r coupled-problem matrices (M, L, N) of two feature arrays, centred here."""
+    fx, fy = (np.asarray(F, dtype=float) for F in (Fx, Fy))
+    n = fx.shape[0]
+    if fy.shape[0] != n:
+        raise InputError(f"feature row counts differ: {n} vs {fy.shape[0]}")
+    fx, fy = fx - fx.mean(axis=0), fy - fy.mean(axis=0)
+    # numpy's X.T @ X is a symmetric rank-k update: L and N are exactly symmetric
+    L = fx.T @ fx / n + config.eta1 * np.eye(fx.shape[1])
+    Nmat = fy.T @ fy / n + config.eta2 * np.eye(fy.shape[1])
+    return fx.T @ fy / n, L, Nmat
 
 
-def build_mln(Kx, Ky, config):
-    """Assemble the coupled-problem matrices (M, L, N) from two Gram arrays."""
-    kx = np.asarray(Kx, dtype=float)
-    ky = np.asarray(Ky, dtype=float)
-    n = kx.shape[0]
-    if ky.shape[0] != n:
-        raise InputError(f"Gram sizes differ: {n} vs {ky.shape[0]}")
-    jkx = center_columns(kx)
-    jky = center_columns(ky)
-    M = kx.T @ jky / n
-    L = _mirror_upper(kx.T @ jkx / n)
-    Nmat = _mirror_upper(ky.T @ jky / n)
-    if config.regularizer == "rkhs":
-        L = L + config.eta1 * kx
-        Nmat = Nmat + config.eta2 * ky
-    else:
-        L[np.diag_indices(n)] += config.eta1
-        Nmat[np.diag_indices(n)] += config.eta2
-    return M, L, Nmat
+def _factor_side(spec, X, regularizer):
+    """Features F of one side's Gram and the map from F-coefficients to dual alphas."""
+    G, P, T = linalg.pivoted_cholesky(gram_matrix(spec, X))
+    if regularizer == "dual_l2":
+        res = linalg.svd(G)
+        return res.U * res.s**2, lambda c: res.U @ c
+
+    def duals(w):
+        alphas = np.zeros((len(G), w.shape[1]))
+        alphas[P] = linalg.solve_lower_transposed(T, w)
+        return alphas
+
+    return G, duals
 
 
 def fit_kcca(data, config):
     """Fit the dual model on a paired dataset.  Deterministic given inputs."""
     if data.n < 2:
         raise InputError("kernel CCA needs at least 2 samples (centering is degenerate)")
-    if config.d > data.n:
-        raise InputError(f"cannot extract {config.d} components from {data.n} samples")
-    Kx = gram_matrix(config.kernel_x, data.x)
-    Ky = gram_matrix(config.kernel_y, data.y)
-    M, L, Nmat = build_mln(Kx, Ky, config)
+    Fx, duals_x = _factor_side(config.kernel_x, data.x, config.regularizer)
+    Fy, duals_y = _factor_side(config.kernel_y, data.y, config.regularizer)
+    ranks = [Fx.shape[1], Fy.shape[1]]
+    if config.d > min(ranks):
+        raise InputError(f"cannot extract {config.d} components from Grams of rank {ranks}")
+    M, L, Nmat = build_mln(Fx, Fy, config)
     sol = linalg.solve_paired_eig(M, L, Nmat, config.d, config.jitter)
     # Cauchy-Schwarz bounds every exact lambda by 1; above it the solve has lost precision
     if sol.lambdas[0] > 1.0 + 1e-8:
@@ -140,16 +137,18 @@ def fit_kcca(data, config):
         train_x=np.array(data.x, dtype=float),
         train_y=np.array(data.y, dtype=float),
         config=config,
-        alphas=sol.alphas,
-        betas=sol.betas,
+        alphas=duals_x(sol.alphas),
+        betas=duals_y(sol.betas),
         lambdas=sol.lambdas,
+        diagnostics={"rank": ranks, "jitter": list(sol.jitter)},
     )
 
 
 def project(model, side, points):
     """Canonical features of new points on one side.
 
-    Kernel sums for a KccaModel; a LinearCcaModel goes to project_linear.
+    Kernel sums over the training rows with a nonzero coefficient for a
+    KccaModel; a LinearCcaModel goes to project_linear.
     """
     if isinstance(model, LinearCcaModel):
         return project_linear(model, side, points)
@@ -157,7 +156,8 @@ def project(model, side, points):
         side, points, (model.train_x, model.config.kernel_x, model.alphas),
         (model.train_y, model.config.kernel_y, model.betas),
     )
-    return cross_kernel(spec, points, train) @ coef
+    rows = np.any(coef != 0, axis=1)  # rkhs duals are zero off the Gram's pivot rows
+    return cross_kernel(spec, points, train[rows]) @ coef[rows]
 
 
 def _on_side(side, points, x_parts, y_parts):
@@ -285,6 +285,8 @@ _ARRAY_FIELDS = {
 def model_to_dict(model):
     if isinstance(model, KccaModel):
         doc = {"method": "kcca", "config": _config_to_dict(model.config)}
+        if model.diagnostics is not None:
+            doc["diagnostics"] = model.diagnostics
     elif isinstance(model, LinearCcaModel):
         doc = {"method": "linear", "ridge": model.ridge}
     else:
@@ -323,7 +325,8 @@ def model_from_dict(doc):
         fields = _ARRAY_FIELDS[method]
         if method == "kcca":
             config = config_from_dict(doc["config"])
-            return KccaModel(config=config, **_arrays(doc, fields, {"d": config.d}))
+            arrays = _arrays(doc, fields, {"d": config.d})
+            return KccaModel(config=config, diagnostics=doc.get("diagnostics"), **arrays)
         ridge = _check_ridge(doc.get("ridge", 0.0))
         return LinearCcaModel(ridge=ridge, **_arrays(doc, fields, {}))
     except InputError:

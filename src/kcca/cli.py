@@ -146,7 +146,8 @@ def _render_bracket_table(train, test):
     d = train.shape[0]
     lines = ["      " + "  ".join(f"{'v' + str(k+1):>12s}" for k in range(d))]
     for j in range(d):
-        cells = [f"{train[j, k]:.2f} ({test[j, k]:.2f})" for k in range(d)]
+        # a cell that rounds to zero prints unsigned, so round-off cannot flip its sign
+        cells = [f"{train[j, k]:.2f} ({test[j, k]:.2f})".replace("-0.00", "0.00") for k in range(d)]
         lines.append(f"u{j+1}:  " + "  ".join(f"{c:>12s}" for c in cells))
     return "\n".join(lines)
 

@@ -1,4 +1,4 @@
-"""Kernel functions, Gram matrices and empirical centering.
+"""Kernel functions and Gram matrices.
 
 The Gaussian kernel follows the convention
 
@@ -135,8 +135,3 @@ def gram_matrix(spec, X):
         raise InputError("gram_matrix requires at least one sample")
     return cross_kernel(spec, X, X)
 
-
-def center_columns(K):
-    """Subtract column means, i.e. J @ K, without materializing J."""
-    K = np.asarray(K, dtype=float)
-    return K - K.mean(axis=0, keepdims=True)

@@ -1,33 +1,32 @@
 """Dense linear algebra used by the fitters.
 
-Cholesky, triangular solves and SVD are thin wrappers over LAPACK (via
-numpy/scipy) with the error reporting and the deterministic sign
-convention the rest of the package relies on.  The coupled eigenproblem
+Cholesky (plain and pivoted), triangular solves and SVD are thin wrappers
+over LAPACK (via numpy/scipy) with the error reporting and the
+deterministic sign convention the rest of the package relies on.
+`pivoted_cholesky` gives the low-rank Gram factors K ~ G G^T that turn
+kernel CCA into an r x r problem.  The coupled eigenproblem
 
     M beta = lambda L alpha,    M^T alpha = lambda N beta
 
 with L, N symmetric positive definite is reduced by whitening: factor
 L = C_L C_L^T and N = C_N C_N^T, form G = C_L^{-1} M C_N^{-T}, and read
-the solution off the top-d SVD of G.  This keeps every lambda real and >= 0
-and gives components orthonormal in the L- and N-metrics by construction.
-Kernel CCA and linear CCA are both this computation on different matrices.
-For a square G with n >= TOP_D_RATIO * d, `svd` finds the top subspace from
-G^T G and takes the values from G itself (Rayleigh-Ritz), so they keep their
-digits; it falls back to the full SVD when s_d^2 < TOP_D_GUARD * s_1^2.
+the solution off the SVD of G, cut to d.  This keeps every lambda real and
+>= 0 and gives components orthonormal in the L- and N-metrics by
+construction.  Kernel CCA and linear CCA are both this computation on
+different matrices, of order r (the Gram rank) and of the data dimension.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import eigh, get_lapack_funcs, solve_triangular
+from scipy.linalg import get_lapack_funcs, solve_triangular
 
 from .errors import InputError, NotPositiveDefiniteError, SingularRegularizationError
 
-TOP_D_RATIO = 32  # `svd` takes the top-d path for square order n >= TOP_D_RATIO * d
-TOP_D_GUARD = 1e-6  # ...and falls back to gesdd when s_d^2 < TOP_D_GUARD * s_1^2
+RANK_TOL = 1e-10  # pivoted_cholesky stops once every residual diagonal is <= RANK_TOL * max diag
 
 
 @dataclass(frozen=True)
@@ -42,6 +41,7 @@ class PairedEigSolution:
     alphas: np.ndarray
     betas: np.ndarray
     lambdas: np.ndarray
+    jitter: tuple = (0.0, 0.0)  # what solve_paired_eig added to the diagonals of L and N
 
 
 def cholesky(A, jitter=0.0):
@@ -64,6 +64,23 @@ def cholesky(A, jitter=0.0):
     return c
 
 
+def pivoted_cholesky(K):
+    """Low-rank factor K ~ G G^T by LAPACK pstrf (diagonal pivoting); overwrites K.
+
+    Factoring stops once every diagonal of K - G G^T is <= RANK_TOL * max diag K.
+    Returns (G, P, T): G is n x r with rows in sample order, P the r pivot rows
+    in the order taken, and T = G[P], lower triangular, so that K[:, P] = G T^T.
+    """
+    K = np.asarray(K, dtype=float)
+    (pstrf,) = get_lapack_funcs(("pstrf",), (K,))
+    # K is symmetric, so K.T is the same matrix in the Fortran order pstrf overwrites
+    c, piv, r, _ = pstrf(K.T, tol=RANK_TOL * float(np.max(np.diag(K))), lower=1, overwrite_a=1)
+    G = np.empty((K.shape[0], r))
+    G[piv - 1] = np.tril(c[:, :r])
+    P = piv[:r] - 1
+    return G, P, G[P]
+
+
 def solve_lower_triangular(C, B):
     """Solve C @ X = B by forward substitution (C lower triangular)."""
     return solve_triangular(C, np.asarray(B, dtype=float), lower=True)
@@ -75,17 +92,12 @@ def solve_lower_transposed(C, B):
 
 
 def svd(A, d=None):
-    """Top-d thin SVD (every triplet when d is None), signs fixed.
+    """Thin SVD cut to the top d triplets (every triplet when d is None), signs fixed.
 
     In every left singular vector the entry of largest absolute value is
     made positive (ties broken by lowest index); the matching right vector
     is flipped along with it.  Two calls on the same input are therefore
-    bit-identical, on either path.
-
-    A square A of order n >= TOP_D_RATIO * d takes the top d eigenvectors V
-    of A^T A and the Rayleigh-Ritz step A V = U S W^T, V <- V W: S comes from
-    A, not from the eigenvalues, which lose eps * s_1^2 / s_k^2 relative.  If
-    s_d^2 < TOP_D_GUARD * s_1^2, and for every other A, gesdd runs, cut to d.
+    bit-identical, and svd(A, d) is svd(A) cut to d.
     """
     A = np.asarray(A, dtype=float)
     if not np.all(np.isfinite(A)):
@@ -93,29 +105,14 @@ def svd(A, d=None):
     d = min(A.shape) if d is None else d
     if not 1 <= d <= min(A.shape):
         raise InputError(f"cannot take {d} singular triplets of a {A.shape} matrix")
-    U, s, V = (_top_svd if A.shape[0] == A.shape[1] >= TOP_D_RATIO * d else _full_svd)(A, d)
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    U, s, V = U[:, :d], s[:d], Vt[:d].T
     for k in range(d):
         i = int(np.argmax(np.abs(U[:, k])))
         if U[i, k] < 0:
             U[:, k] = -U[:, k]
             V[:, k] = -V[:, k]
     return SvdResult(U=U, s=s, V=V)
-
-
-def _full_svd(A, d):
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    return U[:, :d], s[:d], Vt[:d].T
-
-
-def _top_svd(A, d):
-    AtA = A.T @ A  # numpy's syrk path: exactly symmetric
-    if not np.all(np.isfinite(AtA)):
-        return _full_svd(A, d)
-    w, V = eigh(AtA, subset_by_index=[len(A) - d, len(A) - 1])
-    if not w[0] >= TOP_D_GUARD * w[-1] > 0:
-        return _full_svd(A, d)
-    U, s, Wt = np.linalg.svd(A @ V, full_matrices=False)
-    return U, s, V @ Wt.T
 
 
 def whitened_svd(M, CL, CN, d):
@@ -133,13 +130,14 @@ def whitened_svd(M, CL, CN, d):
 
 
 def _factor_with_retry(A, jitter, what):
+    """Lower factor of A + j*I and the j applied: `jitter`, or the fallback if A fails."""
     try:
-        return cholesky(A, jitter)
+        return cholesky(A, jitter), jitter
     except NotPositiveDefiniteError:
         pass
     fallback = jitter + 1e-9 * max(float(np.mean(np.diag(A))), 0.0)
     try:
-        return cholesky(A, fallback)
+        return cholesky(A, fallback), fallback
     except NotPositiveDefiniteError as exc:
         raise SingularRegularizationError(
             f"{what} is not positive definite even with jitter {fallback:g}; "
@@ -151,11 +149,13 @@ def solve_paired_eig(M, L, Nmat, d, jitter=0.0):
     """Top-d solution of M beta = lambda L alpha, M^T alpha = lambda N beta.
 
     Components are normalized alpha_k^T L alpha_k = beta_k^T N beta_k = 1
-    and returned with lambdas descending.
+    and returned with lambdas descending.  `jitter` is added to the
+    diagonals of L and N; a metric that still fails to factor gets 1e-9 of
+    its mean diagonal more, and the solution reports what was applied.
     """
     M = np.asarray(M, dtype=float)
     if not all(np.all(np.isfinite(A)) for A in (M, L, Nmat)):
         raise InputError("M, L or N has non-finite entries; the kernel values are too large")
-    CL = _factor_with_retry(np.asarray(L, dtype=float), jitter, "left metric L")
-    CN = _factor_with_retry(np.asarray(Nmat, dtype=float), jitter, "right metric N")
-    return whitened_svd(M, CL, CN, d)
+    CL, jitter_l = _factor_with_retry(np.asarray(L, dtype=float), jitter, "left metric L")
+    CN, jitter_n = _factor_with_retry(np.asarray(Nmat, dtype=float), jitter, "right metric N")
+    return replace(whitened_svd(M, CL, CN, d), jitter=(jitter_l, jitter_n))

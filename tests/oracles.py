@@ -9,8 +9,9 @@ eigenproblem that works on the doubled symmetric system
 
 whose eigenvalues come in +/- pairs; the positive half must match the
 library's whitened-SVD solution.  `kernel_eval` (one kernel value per
-pair) and `centering_matrix` (an explicit J) are the references for
-`gram_matrix`/`cross_kernel` and `center_columns`.
+pair) is the reference for `gram_matrix`/`cross_kernel`, and `mln_ref`
+(with an explicit J) for the dense n x n matrices that the low-rank fit
+never forms.
 """
 
 import numpy as np
@@ -132,7 +133,7 @@ def kernel_eval(spec, x1, x2):
 
 
 def centering_matrix(n):
-    """Explicit J = I - (1/n) 11^T.  Kept for oracle tests; hot paths use center_columns."""
+    """Explicit J = I - (1/n) 11^T."""
     if n < 1:
         raise InputError("centering_matrix requires n >= 1")
     return np.eye(n) - np.full((n, n), 1.0 / n)

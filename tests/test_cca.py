@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kcca import cca
+from kcca import cca, linalg
 from kcca.cca import (
     KccaConfig,
     build_mln,
@@ -15,7 +15,7 @@ from kcca.cca import (
 )
 from kcca.datagen import PairedDataset, SimSpec, gen_sim1, gen_sim2
 from kcca.errors import DegenerateFeatureError, InputError, NotPositiveDefiniteError
-from kcca.kernels import KernelSpec, gram_matrix
+from kcca.kernels import KernelSpec, cross_kernel, gram_matrix
 
 from oracles import mln_ref, pearson_ref
 
@@ -47,13 +47,13 @@ class TestConfig:
 
 class TestBuildMln:
     def test_single_sample(self):
-        K = gram_matrix(GAUSS1, np.array([[0.3, 0.7]]))
-        M, L, N = build_mln(K, K, gauss_config(1.0, 2.0))
-        np.testing.assert_array_equal(M, [[0.0]])
-        np.testing.assert_allclose(L, 2.0 * K, atol=1e-15)
+        F = np.array([[0.3, 0.7]])
+        M, L, N = build_mln(F, F, gauss_config(1.0, 2.0))
+        np.testing.assert_array_equal(M, np.zeros((2, 2)))
+        np.testing.assert_array_equal(L, 2.0 * np.eye(2))
 
     def test_identity_grams_no_reg(self):
-        I2 = np.eye(2)
+        I2 = np.eye(2)  # features of the identity Gram
         cfg = KccaConfig(
             kernel_x=LINEAR, kernel_y=LINEAR, eta1=0.0, eta2=0.0, regularizer="dual_l2"
         )
@@ -62,25 +62,32 @@ class TestBuildMln:
 
     @pytest.mark.parametrize("regularizer", ["rkhs", "dual_l2"])
     def test_matches_explicit_j_oracle(self, regularizer):
+        # full-rank factors: K = G G^T with F = G (rkhs), or K = U S^2 U^T with
+        # F = U S^2 (dual_l2); the dense matrices are then B (M, L, N) B^T, B = G or U
         rng = np.random.default_rng(0)
         Kx = gram_matrix(GAUSS1, rng.normal(size=(5, 2)))
         Ky = gram_matrix(GAUSS1, rng.normal(size=(5, 2)))
+        bases, feats = [], []
+        for K in (Kx, Ky):
+            G = np.linalg.cholesky(K)
+            U, s, _ = np.linalg.svd(G)
+            bases.append(G if regularizer == "rkhs" else U)
+            feats.append(G if regularizer == "rkhs" else U * s**2)
         cfg = KccaConfig(
             kernel_x=GAUSS1, kernel_y=GAUSS1, eta1=0.3, eta2=0.7, regularizer=regularizer
         )
-        M, L, N = build_mln(Kx, Ky, cfg)
+        M, L, N = build_mln(*feats, cfg)
         Mr, Lr, Nr = mln_ref(Kx, Ky, 0.3, 0.7, rkhs=regularizer == "rkhs")
-        np.testing.assert_allclose(M, Mr, atol=1e-13)
-        np.testing.assert_allclose(L, Lr, atol=1e-13)
-        np.testing.assert_allclose(N, Nr, atol=1e-13)
+        Bx, By = bases
+        np.testing.assert_allclose(Bx @ M @ By.T, Mr, atol=1e-13)
+        np.testing.assert_allclose(Bx @ L @ Bx.T, Lr, atol=1e-13)
+        np.testing.assert_allclose(By @ N @ By.T, Nr, atol=1e-13)
         assert np.array_equal(L, L.T) and np.array_equal(N, N.T)
 
     def test_size_mismatch(self):
         rng = np.random.default_rng(1)
-        Kx = gram_matrix(GAUSS1, rng.normal(size=(4, 2)))
-        Ky = gram_matrix(GAUSS1, rng.normal(size=(5, 2)))
         with pytest.raises(InputError):
-            build_mln(Kx, Ky, gauss_config(1.0, 1.0))
+            build_mln(rng.normal(size=(4, 3)), rng.normal(size=(5, 3)), gauss_config(1.0, 1.0))
 
 
 class TestFitKcca:
@@ -125,7 +132,7 @@ class TestFitKcca:
         model = fit_kcca(data, cfg)
         Kx = gram_matrix(cfg.kernel_x, data.x)
         Ky = gram_matrix(cfg.kernel_y, data.y)
-        M, L, N = build_mln(Kx, Ky, cfg)
+        M, L, N = mln_ref(Kx, Ky, cfg.eta1, cfg.eta2)
         fro = np.linalg.norm(M)
         for k in range(3):
             a, b, lam = model.alphas[:, k], model.betas[:, k], model.lambdas[k]
@@ -156,6 +163,94 @@ class TestFitKcca:
             )
             for k in range(2):
                 assert table[k, k] >= model.lambdas[k] - 1e-8
+
+
+def dense_fit(data, cfg):
+    """The n x n fit: dense M, L, N from the oracle, solved directly."""
+    Kx = gram_matrix(cfg.kernel_x, data.x)
+    Ky = gram_matrix(cfg.kernel_y, data.y)
+    M, L, N = mln_ref(Kx, Ky, cfg.eta1, cfg.eta2, rkhs=cfg.regularizer == "rkhs")
+    return (M, L, N), linalg.solve_paired_eig(M, L, N, cfg.d)
+
+
+class TestLowRankFit:
+    """The r x r fit against the dense n x n problem it replaces, at sim1 500/50."""
+
+    @pytest.fixture(scope="class")
+    def sim1_500(self):
+        return gen_sim1(SimSpec("sim1", 500, 50, seed=8))[:2]
+
+    @pytest.mark.parametrize("regularizer", ["rkhs", "dual_l2"])
+    def test_matches_dense_problem(self, sim1_500, regularizer):
+        train, test = sim1_500
+        cfg = KccaConfig(kernel_x=GAUSS1, kernel_y=GAUSS1, regularizer=regularizer)
+        model = fit_kcca(train, cfg)
+        assert max(model.diagnostics["rank"]) < train.n
+        (M, L, N), ref = dense_fit(train, cfg)
+        np.testing.assert_allclose(model.lambdas, ref.lambdas, rtol=1e-10, atol=0)
+        norm_m = np.linalg.norm(M, 2)
+        for k in range(cfg.d):
+            a, b, lam = model.alphas[:, k], model.betas[:, k], model.lambdas[k]
+            assert np.linalg.norm(M @ b - lam * (L @ a)) <= 1e-9 * norm_m * np.linalg.norm(b)
+            assert np.linalg.norm(M.T @ a - lam * (N @ b)) <= 1e-9 * norm_m * np.linalg.norm(a)
+        for side, pts, coef in (("x", test.x, ref.alphas), ("y", test.y, ref.betas)):
+            got = project(model, side, pts)
+            want = cross_kernel(GAUSS1, pts, getattr(train, side)) @ coef
+            for k in range(cfg.d):  # each component is fixed up to its sign
+                err = min(np.max(np.abs(got[:, k] - s * want[:, k])) for s in (1, -1))
+                assert err <= 1e-9 * np.max(np.abs(want[:, k]))
+
+    @pytest.mark.parametrize("regularizer", ["rkhs", "dual_l2"])
+    def test_repeat_fits_bit_identical(self, sim1_500, regularizer):
+        cfg = KccaConfig(kernel_x=GAUSS1, kernel_y=GAUSS1, regularizer=regularizer)
+        m1, m2 = fit_kcca(sim1_500[0], cfg), fit_kcca(sim1_500[0], cfg)
+        for field in ("alphas", "betas", "lambdas"):
+            assert np.array_equal(getattr(m1, field), getattr(m2, field))
+
+    def test_rkhs_duals_live_on_the_pivots(self, sim1_500):
+        model = fit_kcca(sim1_500[0], gauss_config(1.0, 1.0))
+        rows = np.count_nonzero(np.any(model.alphas != 0, axis=1))
+        assert rows == model.diagnostics["rank"][0]
+
+    def test_rank_below_components_rejected(self):
+        rng = np.random.default_rng(26)
+        data = PairedDataset(x=rng.normal(size=(20, 1)), y=rng.normal(size=(20, 2)))
+        cfg = KccaConfig(kernel_x=LINEAR, kernel_y=LINEAR, regularizer="dual_l2", d=2)
+        with pytest.raises(InputError, match=r"of rank \[1, 2\]"):
+            fit_kcca(data, cfg)
+
+
+class TestDiagnostics:
+    def test_sim1_ranks_and_no_jitter(self):
+        train, _, _ = gen_sim1(SimSpec("sim1", 200, 5, seed=8))
+        model = fit_kcca(train, gauss_config(1.0, 1.0))
+        r_x, r_y = model.diagnostics["rank"]
+        assert r_x < 200 and r_y < 200
+        assert model.diagnostics["jitter"] == [0.0, 0.0]
+        assert model_to_dict(model)["diagnostics"] == {"rank": [r_x, r_y], "jitter": [0.0, 0.0]}
+
+    def test_fallback_jitter_is_recorded(self, monkeypatch):
+        cholesky = linalg.cholesky
+
+        def refuse_unjittered(A, jitter=0.0):
+            if jitter == 0.0:
+                raise NotPositiveDefiniteError(pivot=0)
+            return cholesky(A, jitter)
+
+        monkeypatch.setattr(linalg, "cholesky", refuse_unjittered)
+        model = fit_kcca(random_paired(np.random.default_rng(27), 15), gauss_config(1.0, 1.0))
+        j_l, j_n = model.diagnostics["jitter"]
+        assert j_l > 0 and j_n > 0
+
+    def test_model_without_diagnostics_loads(self):
+        rng = np.random.default_rng(28)
+        model = fit_kcca(random_paired(rng, 10), gauss_config(1.0, 1.0))
+        doc = model_to_dict(model)
+        del doc["diagnostics"]
+        loaded = model_from_dict(doc)
+        assert loaded.diagnostics is None and "diagnostics" not in model_to_dict(loaded)
+        pts = rng.normal(size=(4, 2))
+        assert np.array_equal(project(loaded, "x", pts), project(model, "x", pts))
 
 
 class TestProject:
@@ -376,6 +471,7 @@ class TestSerialization:
         model = fit_kcca(random_paired(rng, 8), gauss_config(1.0, 1.0))
         again = model_from_dict(model_to_dict(model))
         assert np.array_equal(again.alphas, model.alphas)
+        assert again.diagnostics == model.diagnostics == {"rank": [8, 8], "jitter": [0.0, 0.0]}
         assert np.array_equal(again.train_x, model.train_x)
 
 

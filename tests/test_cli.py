@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from kcca.cli import main, read_dataset, write_dataset
+from kcca import linalg
+from kcca.cli import _render_bracket_table, main, read_dataset, write_dataset
 from kcca.datagen import PairedDataset
 
 
@@ -170,6 +172,11 @@ class TestEvalAndTransform:
             assert key in doc
         assert np.all(np.abs(np.array(doc["train_table"])) <= 1.0)
         assert doc["train_diag"][0] > 0.9
+
+    def test_bracket_table_prints_unsigned_zero(self):
+        table = _render_bracket_table(np.array([[-0.004, -0.5]] * 2), np.array([[-1e-17, 0.5]] * 2))
+        assert table.splitlines()[1].split() == ["u1:", "0.00", "(0.00)", "-0.50", "(0.50)"]
+        assert "-0.00" not in table
 
     def test_eval_deterministic(self, fitted, tmp_path):
         tr, te, model = fitted
@@ -364,10 +371,24 @@ class TestBadInputOneErrorLine:
         err = capsys.readouterr().err
         assert rc == 3 and err.startswith("error[domain]: ridge must be") and "-1" in err
 
-    def test_lambda_above_one_is_rejected(self, tmp_path, capsys):
+    def test_lambda_above_one_is_rejected(self, tmp_path, capsys, monkeypatch):
+        solve = linalg.solve_paired_eig
+
+        def inflated(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            return dataclasses.replace(sol, lambdas=np.r_[1.0 + 1e-6, sol.lambdas[1:]])
+
+        monkeypatch.setattr(linalg, "solve_paired_eig", inflated)
         tr, _ = simulate(tmp_path, train=40, test=5, seed=8)
         model = tmp_path / "m.json"
-        rc = main(["fit", "--data", str(tr), "--eta", "1e-12", "--model", str(model)])
+        rc = main(["fit", "--data", str(tr), "--model", str(model)])
         err = capsys.readouterr().err
-        assert rc == 3 and err.startswith("error[domain]: largest lambda 1.0000") and "eta" in err
+        assert rc == 3 and err.startswith("error[domain]: largest lambda 1.000001") and "eta" in err
+        assert len(err.splitlines()) == 1
         assert not model.exists()
+
+    def test_tiny_eta_fits_with_lambda_at_most_one(self, tmp_path, capsys):
+        tr, _ = simulate(tmp_path, train=40, test=5, seed=8)
+        model = tmp_path / "m.json"
+        assert main(["fit", "--data", str(tr), "--eta", "1e-12", "--model", str(model)]) == 0
+        assert json.loads(model.read_text())["lambdas"][0] <= 1.0

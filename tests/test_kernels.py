@@ -4,7 +4,6 @@ import pytest
 from kcca.errors import InputError, NotPositiveDefiniteError
 from kcca.kernels import (
     KernelSpec,
-    center_columns,
     cross_kernel,
     gram_matrix,
     parse_kernel_spec,
@@ -141,11 +140,6 @@ class TestCentering:
     def test_rejects_zero(self):
         with pytest.raises(InputError):
             centering_matrix(0)
-
-    def test_center_columns_equals_explicit_j(self):
-        rng = np.random.default_rng(6)
-        K = rng.normal(size=(9, 9))
-        np.testing.assert_allclose(center_columns(K), centering_matrix(9) @ K, atol=1e-13)
 
 
 class TestCrossKernel:

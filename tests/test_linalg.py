@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from kcca import linalg
+from kcca.datagen import SimSpec, gen_sim1
 from kcca.errors import InputError, NotPositiveDefiniteError, SingularRegularizationError
+from kcca.kernels import KernelSpec, gram_matrix
 from kcca.linalg import (
+    RANK_TOL,
     cholesky,
+    pivoted_cholesky,
     solve_lower_transposed,
     solve_lower_triangular,
     solve_paired_eig,
@@ -122,28 +125,10 @@ def with_spectrum(rng, s):
     return (Q1 * s) @ Q2.T
 
 
-def forbid(monkeypatch, name):
-    def fail(*args, **kwargs):
-        raise AssertionError(f"linalg.{name} was called")
-
-    monkeypatch.setattr(linalg, name, fail)
-
-
 class TestTopDSvd:
-    """`svd(A, d)` on a square A of order n >= TOP_D_RATIO * d avoids the full SVD."""
+    """`svd(A, d)` keeps the top d triplets of the full SVD."""
 
-    # s_2 = 3e-3 s_1: the square root of A^T A's 2nd eigenvalue is ~4e-12 off
-    # in relative terms, so rtol 1e-12 needs the Rayleigh-Ritz step
     SPECTRUM = np.concatenate([[1.0, 3e-3], 1e-3 * 0.8 ** np.arange(298.0)])
-
-    def test_matches_full_svd(self, monkeypatch):
-        A = with_spectrum(np.random.default_rng(30), self.SPECTRUM)
-        ref = svd(A)
-        forbid(monkeypatch, "_full_svd")
-        res = svd(A, 2)
-        np.testing.assert_allclose(res.s, ref.s[:2], rtol=1e-12, atol=0)
-        np.testing.assert_allclose(res.U, ref.U[:, :2], rtol=0, atol=1e-10)
-        np.testing.assert_allclose(res.V, ref.V[:, :2], rtol=0, atol=1e-10)
 
     def test_repeat_calls_bit_identical(self):
         A = with_spectrum(np.random.default_rng(31), self.SPECTRUM)
@@ -152,32 +137,13 @@ class TestTopDSvd:
             assert np.array_equal(getattr(r1, f), getattr(r2, f))
 
     @pytest.mark.parametrize("shape, d", [((63, 63), 2), ((300, 300), 10), ((300, 200), 2)])
-    def test_below_ratio_or_non_square_truncates_full_svd(self, monkeypatch, shape, d):
+    def test_below_ratio_or_non_square_truncates_full_svd(self, shape, d):
         A = np.random.default_rng(32).normal(size=shape)
         ref = svd(A)
-        forbid(monkeypatch, "eigh")
         res = svd(A, d)
         np.testing.assert_array_equal(res.s, ref.s[:d])
         np.testing.assert_array_equal(res.U, ref.U[:, :d])
         np.testing.assert_array_equal(res.V, ref.V[:, :d])
-
-    def test_guard_falls_back_on_small_kept_values(self, monkeypatch):
-        rng = np.random.default_rng(33)
-        A = rng.normal(size=(300, 2)) @ rng.normal(size=(2, 300))  # rank 2, d = 5
-        ref = svd(A)
-        calls = []
-        eigh = linalg.eigh
-
-        def counted_eigh(*args, **kwargs):
-            calls.append(kwargs["subset_by_index"])
-            return eigh(*args, **kwargs)
-
-        monkeypatch.setattr(linalg, "eigh", counted_eigh)
-        res = svd(A, 5)
-        assert calls == [[295, 299]]  # the top-d path ran, then the guard sent A back
-        np.testing.assert_array_equal(res.s, ref.s[:5])
-        np.testing.assert_array_equal(res.U, ref.U[:, :5])
-        np.testing.assert_array_equal(res.V, ref.V[:, :5])
 
     @pytest.mark.parametrize("d", [0, 3])
     def test_component_count_checked(self, d):
@@ -193,6 +159,31 @@ class TestTopDSvd:
         np.testing.assert_allclose(top.lambdas, full.lambdas[:2], rtol=1e-12, atol=0)
         for got, ref in ((top.alphas, full.alphas[:, :2]), (top.betas, full.betas[:, :2])):
             assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(np.abs(ref))
+
+
+class TestPivotedCholesky:
+    @pytest.mark.parametrize("n", [40, 500])
+    def test_factor_reproduces_pivot_columns_and_bounds_residual(self, n):
+        train, _, _ = gen_sim1(SimSpec("sim1", n, 5, seed=8))
+        spec = KernelSpec("gaussian", sigma=1.0)
+        K = gram_matrix(spec, train.x)
+        G, P, T = pivoted_cholesky(gram_matrix(spec, train.x))
+        r = G.shape[1]
+        assert P.shape == (r,) and len(set(P.tolist())) == r
+        assert np.array_equal(T, G[P]) and np.array_equal(T, np.tril(T))
+        top = np.max(np.diag(K))
+        assert np.max(np.abs(K[:, P] - G @ T.T)) <= 1e-12 * top
+        assert np.max(np.diag(K) - np.einsum("ij,ij->i", G, G)) <= RANK_TOL * top
+        if n == 40:
+            assert r == n
+        else:
+            assert r < n
+
+    def test_low_rank_gram(self):
+        X = np.random.default_rng(35).normal(size=(30, 3))
+        G, P, T = pivoted_cholesky(X @ X.T)
+        assert G.shape == (30, 3)
+        np.testing.assert_allclose(G @ G.T, X @ X.T, atol=1e-12)
 
 
 class TestPairedEig:
@@ -259,3 +250,9 @@ class TestPairedEig:
     def test_too_many_components(self):
         with pytest.raises(InputError):
             solve_paired_eig(np.eye(2), np.eye(2), np.eye(2), d=3)
+
+    def test_reports_applied_jitter(self):
+        sol = solve_paired_eig(np.eye(2), np.eye(2), np.eye(2), d=1, jitter=0.5)
+        assert sol.jitter == (0.5, 0.5)
+        sol = solve_paired_eig(np.eye(2), np.ones((2, 2)), np.eye(2), d=1)
+        assert sol.jitter == (1e-9, 0.0)
