@@ -340,9 +340,8 @@ def save_model(model, path):
     tmp = f"{path}.{os.getpid()}.tmp"
     fh = open(tmp, "x")  # outside the try: a name already taken is not ours to delete
     try:
-        with fh:
-            json.dump(model_to_dict(model), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        with fh:  # one write: json.dump would make one per encoder chunk
+            fh.write(json.dumps(model_to_dict(model), indent=1, sort_keys=True) + "\n")
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

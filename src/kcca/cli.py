@@ -70,23 +70,31 @@ def read_dataset(path):
     rows = lines[1:]
     if not rows:
         raise UsageError(f"{path}: no data rows")
-    width = n_x + n_y + (1 if has_label else 0)
-    x = np.empty((len(rows), n_x))
-    y = np.empty((len(rows), n_y))
-    labels = np.empty(len(rows), dtype=int) if has_label else None
+    n_xy = n_x + n_y
+    width = n_xy + (1 if has_label else 0)
+    # one split of the joined body: once every row has `width` fields, column j is fields[j::width]
+    fields = ",".join(rows).split(",")
     try:
-        for i, row in enumerate(rows):
-            fields = row.split(",")
+        if any(row.count(",") != width - 1 for row in rows):
+            raise ValueError
+        cols = [np.fromiter(map(float, fields[j::width]), float, len(rows)) for j in range(n_xy)]
+        labels = np.fromiter(map(int, fields[n_xy::width]), int, len(rows)) if has_label else None
+    except (ValueError, OverflowError):
+        raise InputError(f"{path}: {_first_bad_row(rows, width, n_xy)}") from None
+    return PairedDataset(x=np.column_stack(cols[:n_x]), y=np.column_stack(cols[n_x:]), labels=labels)
+
+
+def _first_bad_row(rows, width, n_xy):
+    """Describe the first row read_dataset rejects (the header is row 1; blank lines do not count)."""
+    for i, row in enumerate(rows, start=2):
+        fields = row.split(",")
+        try:
             if len(fields) != width:
                 raise ValueError(f"has {len(fields)} fields, expected {width}")
-            vals = [float(f) for f in fields[: n_x + n_y]]
-            x[i] = vals[:n_x]
-            y[i] = vals[n_x:]
-            if has_label:
-                labels[i] = int(fields[-1])
-    except ValueError as exc:
-        raise InputError(f"{path}: row {i+2} {exc}") from None
-    return PairedDataset(x=x, y=y, labels=labels)
+            list(map(float, fields[:n_xy]))
+            np.fromiter(map(int, fields[n_xy:]), int)
+        except (ValueError, OverflowError) as exc:
+            return f"row {i} {exc}"
 
 
 def cmd_simulate(args):

@@ -20,6 +20,8 @@ from .errors import InputError
 
 VALID_KINDS = ("gaussian", "linear", "polynomial")
 
+GRAM_BLOCK = 64  # gram_matrix rows per cross_kernel call: B x N temporaries stay in cache
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -126,12 +128,21 @@ def cross_kernel(spec, A, B):
 def gram_matrix(spec, X):
     """N x N Gram matrix cross_kernel(spec, X, X), exactly symmetric.
 
-    Gaussian entries (i, j) and (j, i) sum the same squares in the same
-    order; numpy evaluates X @ X.T of one array (X is converted once, so
-    both arguments are that array) as a symmetric rank-k update.
+    Filled GRAM_BLOCK rows at a time, so every temporary is GRAM_BLOCK x N:
+    one cross_kernel call gives a block's part of the upper triangle, which
+    is mirrored below the diagonal.  Inside a diagonal block, entries (i, j)
+    and (j, i) are computed alike: Gaussian ones sum the same squares in the
+    same order, linear and polynomial ones come from the same products
+    (numpy's symmetric rank-k update when N <= GRAM_BLOCK).  Gaussian
+    entries equal cross_kernel's bit for bit.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[0] < 1:
+    n = X.shape[0]
+    if n < 1:
         raise InputError("gram_matrix requires at least one sample")
-    return cross_kernel(spec, X, X)
-
+    K = np.empty((n, n))
+    for i in range(0, n, GRAM_BLOCK):
+        j = i + GRAM_BLOCK
+        K[i:j, i:] = cross_kernel(spec, X[i:j], X[i:])
+        K[j:, i:j] = K[i:j, j:].T
+    return K

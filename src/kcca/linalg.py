@@ -3,6 +3,8 @@
 Cholesky (plain and pivoted), triangular solves and SVD are thin wrappers
 over LAPACK (via numpy/scipy) with the error reporting and the
 deterministic sign convention the rest of the package relies on.
+scipy is imported inside the functions that call it, so that commands
+which never fit (simulate, eval, transform) do not load it.
 `pivoted_cholesky` gives the low-rank Gram factors K ~ G G^T that turn
 kernel CCA into an r x r problem.  The coupled eigenproblem
 
@@ -22,7 +24,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, solve_triangular
 
 from .errors import InputError, NotPositiveDefiniteError, SingularRegularizationError
 
@@ -52,6 +53,8 @@ def cholesky(A, jitter=0.0):
     """
     if not (math.isfinite(jitter) and jitter >= 0):
         raise InputError(f"jitter must be finite and >= 0, got {jitter}")
+    from scipy.linalg import get_lapack_funcs
+
     work = np.array(A, dtype=float, order="C")
     if jitter:
         work[np.diag_indices_from(work)] += jitter
@@ -71,6 +74,8 @@ def pivoted_cholesky(K):
     Returns (G, P, T): G is n x r with rows in sample order, P the r pivot rows
     in the order taken, and T = G[P], lower triangular, so that K[:, P] = G T^T.
     """
+    from scipy.linalg import get_lapack_funcs
+
     K = np.asarray(K, dtype=float)
     (pstrf,) = get_lapack_funcs(("pstrf",), (K,))
     # K is symmetric, so K.T is the same matrix in the Fortran order pstrf overwrites
@@ -83,11 +88,15 @@ def pivoted_cholesky(K):
 
 def solve_lower_triangular(C, B):
     """Solve C @ X = B by forward substitution (C lower triangular)."""
+    from scipy.linalg import solve_triangular
+
     return solve_triangular(C, np.asarray(B, dtype=float), lower=True)
 
 
 def solve_lower_transposed(C, B):
     """Solve C.T @ X = B by back substitution (C lower triangular)."""
+    from scipy.linalg import solve_triangular
+
     return solve_triangular(C, np.asarray(B, dtype=float), lower=True, trans="T")
 
 

@@ -212,6 +212,17 @@ class TestLowRankFit:
         rows = np.count_nonzero(np.any(model.alphas != 0, axis=1))
         assert rows == model.diagnostics["rank"][0]
 
+    @pytest.mark.parametrize("regularizer", ["rkhs", "dual_l2"])
+    def test_blocked_gram_fit_bit_identical(self, monkeypatch, regularizer):
+        train = gen_sim1(SimSpec("sim1", 300, 5, seed=8))[0]
+        cfg = KccaConfig(kernel_x=GAUSS1, kernel_y=GAUSS1, regularizer=regularizer)
+        blocked = fit_kcca(train, cfg)
+        monkeypatch.setattr(cca, "gram_matrix", lambda s, X: cross_kernel(s, X, X))
+        whole = fit_kcca(train, cfg)
+        for field in ("alphas", "betas", "lambdas"):
+            assert np.array_equal(getattr(blocked, field), getattr(whole, field))
+        assert blocked.diagnostics == whole.diagnostics
+
     def test_rank_below_components_rejected(self):
         rng = np.random.default_rng(26)
         data = PairedDataset(x=rng.normal(size=(20, 1)), y=rng.normal(size=(20, 2)))
@@ -456,7 +467,7 @@ class TestSerialization:
         def fail(*args, **kwargs):
             raise OSError("no space left on device")
 
-        monkeypatch.setattr(cca.json, "dump", fail)
+        monkeypatch.setattr(cca.json, "dumps", fail)
         with pytest.raises(OSError, match="no space"):
             cca.save_model(model, path)
         assert path.read_bytes() == before

@@ -1,9 +1,13 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import kcca
 from kcca import linalg
 from kcca.cli import _render_bracket_table, main, read_dataset, write_dataset
 from kcca.datagen import PairedDataset
@@ -31,6 +35,15 @@ def simulate(tmp_path, scenario="sim1", train=40, test=100, seed=7, extra=()):
     )
     assert rc == 0
     return tr, te
+
+
+def test_import_does_not_load_scipy():
+    # only fitting needs scipy; simulate, eval and transform processes never load it
+    src = os.path.dirname(os.path.dirname(kcca.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, kcca.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestSimulate:
@@ -261,31 +274,36 @@ def assert_one_domain_error(rc, capsys):
     err = capsys.readouterr().err
     assert rc == 3
     assert len(err.splitlines()) == 1 and err.startswith("error[domain]:"), err
+    return err
 
 
 class TestBadInputOneErrorLine:
     @pytest.mark.parametrize(
-        "text",
+        "text,message",
         [
-            "x1,x2,y1,y2\n1,2,3,4\n1,abc,3,4\n",
-            "x1,x2,y1,y2\n1,2,3,4\n1,,3,4\n",
-            "x1,x2,y1,y2,label\n1,2,3,4,0\n1,2,3,4,1.5\n",
-            "x1,x2,y1,y2,label\n1,2,3,4,0\n1,2,3,4,one\n",
-            "x1,x2,y1,y2\n1,2,3,4\n1,nan,3,4\n",
-            "x1,x2,y1,y2\n1,2,3,4\n1,2,inf,4\n",
-            "x1,x2,y1,y2\n1,2,3,4\n1,2,3,-inf\n",
-            "x1,x2,y1,y2\n1,2,3,4\n1,2,3\n",
-            "x1,x2,y1,y2\n1,2,3,4\n\xff\xfe,2,3,4\n",
+            ("x1,x2,y1,y2\n1,2,3,4\n1,abc,3,4\n", "row 3 could not convert string to float: 'abc'"),
+            ("x1,x2,y1,y2\n1,2,3,4\n1,,3,4\n", "row 3 could not convert string to float: ''"),
+            ("x1,x2,y1,y2,label\n1,2,3,4,0\n1,2,3,4,1.5\n", "row 3 invalid literal for int() with base 10: '1.5'"),
+            ("x1,x2,y1,y2,label\n1,2,3,4,0\n1,2,3,4,one\n", "row 3 invalid literal for int() with base 10: 'one'"),
+            ("x1,x2,y1,y2\n1,2,3,4\n1,nan,3,4\n", "must be finite"),
+            ("x1,x2,y1,y2\n1,2,3,4\n1,2,inf,4\n", "must be finite"),
+            ("x1,x2,y1,y2\n1,2,3,4\n1,2,3,-inf\n", "must be finite"),
+            ("x1,x2,y1,y2\n1,2,3,4\n1,2,3\n", "row 3 has 3 fields, expected 4"),
+            ("x1,x2,y1,y2\n1,2,3,4\n\xff\xfe,2,3,4\n", "row 3 could not convert string to float: '\ufffd\ufffd'"),
+            ("x1,x2,y1,y2,label\n1,2,3,4,0\n1,2,3,4,99999999999999999999\n", "row 3 Python int too large"),
+            ("x1,y1\n1,2,3\n1,x\n", "row 2 has 3 fields, expected 2"),
+            ("x1,y1\n1,2\n\n1,2\n3,abc\n", "row 4 could not convert string to float: 'abc'"),
         ],
         ids=[
             "non-numeric", "empty-field", "float-label", "word-label", "nan", "inf", "-inf",
-            "short-row", "not-utf8",
+            "short-row", "not-utf8", "huge-label", "long-row-first", "blank-line-not-counted",
         ],
     )
-    def test_bad_csv_values(self, tmp_path, capsys, text):
+    def test_bad_csv_values(self, tmp_path, capsys, text, message):
         data = tmp_path / "d.csv"
         data.write_bytes(text.encode("latin-1"))
-        assert_one_domain_error(main(["fit", "--data", str(data), "--model", str(tmp_path / "m.json")]), capsys)
+        err = assert_one_domain_error(main(["fit", "--data", str(data), "--model", str(tmp_path / "m.json")]), capsys)
+        assert message in err, err
 
     @pytest.mark.parametrize(
         "flags",

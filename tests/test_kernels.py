@@ -3,6 +3,7 @@ import pytest
 
 from kcca.errors import InputError, NotPositiveDefiniteError
 from kcca.kernels import (
+    GRAM_BLOCK,
     KernelSpec,
     cross_kernel,
     gram_matrix,
@@ -106,6 +107,24 @@ class TestGramMatrix:
     def test_empty_input(self):
         with pytest.raises(InputError):
             gram_matrix(GAUSS1, np.empty((0, 2)))
+
+
+class TestBlockedGram:
+    """gram_matrix fills GRAM_BLOCK rows at a time; sizes straddle the block edges."""
+
+    SPECS = (GAUSS1, KernelSpec("linear"), KernelSpec("polynomial", degree=3, offset=0.5))
+
+    @pytest.mark.parametrize("n", [GRAM_BLOCK - 1, GRAM_BLOCK, GRAM_BLOCK + 1, 2 * GRAM_BLOCK + 1, 300])
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
+    def test_symmetric_and_equal_to_cross_kernel(self, n, spec):
+        X = np.random.default_rng(n).normal(size=(n, 2))
+        K = gram_matrix(spec, X)
+        assert np.array_equal(K, K.T)
+        ref = cross_kernel(spec, X, X)
+        if spec.kind == "gaussian":
+            assert np.array_equal(K, ref)
+        else:  # a block product may round differently from the full one
+            assert np.max(np.abs(K - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 class TestCentering:
