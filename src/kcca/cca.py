@@ -1,9 +1,10 @@
 """Model fitting, projection and correlation-table evaluation.
 
-`fit_linear_cca` is classical primal CCA: whiten the (ridged) covariance
-blocks with Cholesky factors and take the SVD of the whitened
-cross-covariance.  `fit_kcca` is the kernelized dual method: with Gram
-matrices Kx, Ky and the centering operator J it solves
+Both fitters are ridge CCA on features F: `build_mln` centres them and
+assembles M = Fx^T J Fy / n and the ridged L and N, and `linalg.whitened_svd`
+solves.  `fit_linear_cca` is classical primal CCA, with the raw data as
+features and one ridge on both sides.  `fit_kcca` is the kernelized dual
+method: with Gram matrices Kx, Ky and the centering operator J it solves
 
     M beta = lambda L alpha,    M^T alpha = lambda N beta,
     M = (1/N) Kx^T J Ky,  L = (1/N) Kx^T J Kx + eta1 * Rx,  N likewise,
@@ -13,10 +14,10 @@ the feature-space norms ||a||^2, ||b||^2) or the identity ("dual_l2" mode,
 penalizing the dual coefficient norms), without forming these n x n
 matrices.  Each Gram is factored once, K ~ G G^T with r << n columns
 (`linalg.pivoted_cholesky`), which makes the problem ridge CCA on r features
-F: `build_mln` assembles the r x r M, L and N.  rkhs uses F = G; its alpha
+F, so `build_mln` gives r x r matrices.  rkhs uses F = G; its alpha
 is zero off the pivot rows P and alpha[P] = G[P]^{-T} w, so that
 K alpha = G w.  dual_l2 uses the thin SVD G = U S W^T, F = U S^2 and
-alpha = U c.  Both fitters end in the same whitened SVD, `linalg.whitened_svd`.
+alpha = U c.
 
 Projection of new points is the raw representer sum u(x*) = sum_i
 alpha_ik k(x_i, x*), uncentered, over the rows with a nonzero alpha;
@@ -56,14 +57,11 @@ class KccaConfig:
     def __post_init__(self):
         if self.regularizer not in REGULARIZERS:
             raise InputError(f"unknown regularizer {self.regularizer!r}")
-        if not all(math.isfinite(v) and v >= 0 for v in (self.eta1, self.eta2)):
-            raise InputError(f"eta1 and eta2 must be finite and >= 0, got {self.eta1}, {self.eta2}")
+        for name in ("eta1", "eta2", "jitter"):
+            _check_number(name, getattr(self, name))
         if self.regularizer == "rkhs" and (self.eta1 == 0 or self.eta2 == 0):
             raise InputError("rkhs regularizer requires eta1 > 0 and eta2 > 0")
-        if self.d < 1:
-            raise InputError("component count must be >= 1")
-        if not (math.isfinite(self.jitter) and self.jitter >= 0):
-            raise InputError(f"jitter must be finite and >= 0, got {self.jitter}")
+        _check_number("component count", self.d, 1, numbers.Integral)
 
 
 @dataclass(frozen=True)
@@ -88,16 +86,17 @@ class LinearCcaModel:
     ridge: float = 0.0
 
 
-def build_mln(Fx, Fy, config):
-    """The r x r coupled-problem matrices (M, L, N) of two feature arrays, centred here."""
+def build_mln(Fx, Fy, eta1, eta2):
+    """Ridge-CCA matrices of two feature arrays, centred here by J = I - 11^T/n:
+    M = Fx^T J Fy / n, L = Fx^T J Fx / n + eta1 I and N = Fy^T J Fy / n + eta2 I."""
     fx, fy = (np.asarray(F, dtype=float) for F in (Fx, Fy))
     n = fx.shape[0]
     if fy.shape[0] != n:
         raise InputError(f"feature row counts differ: {n} vs {fy.shape[0]}")
     fx, fy = fx - fx.mean(axis=0), fy - fy.mean(axis=0)
     # numpy's X.T @ X is a symmetric rank-k update: L and N are exactly symmetric
-    L = fx.T @ fx / n + config.eta1 * np.eye(fx.shape[1])
-    Nmat = fy.T @ fy / n + config.eta2 * np.eye(fy.shape[1])
+    L = fx.T @ fx / n + eta1 * np.eye(fx.shape[1])
+    Nmat = fy.T @ fy / n + eta2 * np.eye(fy.shape[1])
     return fx.T @ fy / n, L, Nmat
 
 
@@ -125,7 +124,7 @@ def fit_kcca(data, config):
     ranks = [Fx.shape[1], Fy.shape[1]]
     if config.d > min(ranks):
         raise InputError(f"cannot extract {config.d} components from Grams of rank {ranks}")
-    M, L, Nmat = build_mln(Fx, Fy, config)
+    M, L, Nmat = build_mln(Fx, Fy, config.eta1, config.eta2)
     sol = linalg.solve_paired_eig(M, L, Nmat, config.d, config.jitter)
     # Cauchy-Schwarz bounds every exact lambda by 1; above it the solve has lost precision
     if sol.lambdas[0] > 1.0 + 1e-8:
@@ -202,24 +201,17 @@ def correlation_table(u_feats, v_feats):
 
 
 def fit_linear_cca(data, d, ridge=0.0):
-    """Classical CCA via Cholesky whitening of the covariance blocks."""
+    """Classical CCA: ridge CCA on the raw features, one ridge for both sides."""
     if data.n < 2:
         raise InputError("linear CCA needs at least 2 samples")
     n_x, n_y = data.x.shape[1], data.y.shape[1]
     if not 1 <= d <= min(n_x, n_y):
         raise InputError(f"cannot extract {d} components from dimensions ({n_x}, {n_y})")
-    _check_ridge(ridge)
-    mean_x = data.x.mean(axis=0)
-    mean_y = data.y.mean(axis=0)
-    Xc = data.x - mean_x
-    Yc = data.y - mean_y
-    n = data.n
-    Cxx = Xc.T @ Xc / n  # numpy's X.T @ X is a symmetric rank-k update: exactly symmetric
-    Cyy = Yc.T @ Yc / n
-    Cxy = Xc.T @ Yc / n
-    try:
-        fx = linalg.cholesky(Cxx, ridge)
-        fy = linalg.cholesky(Cyy, ridge)
+    _check_number("ridge", ridge)
+    Cxy, Cxx, Cyy = build_mln(data.x, data.y, ridge, ridge)
+    try:  # the ridge is on the diagonals already
+        fx = linalg.cholesky(Cxx)
+        fy = linalg.cholesky(Cyy)
     except NotPositiveDefiniteError as exc:
         raise NotPositiveDefiniteError(
             pivot=exc.pivot,
@@ -227,16 +219,18 @@ def fit_linear_cca(data, d, ridge=0.0):
             "pass a positive ridge",
         ) from exc
     sol = linalg.whitened_svd(Cxy, fx, fy, d)
-    rhos = np.clip(sol.lambdas, 0.0, 1.0)
     return LinearCcaModel(
-        mean_x=mean_x, mean_y=mean_y, A=sol.alphas, B=sol.betas, rhos=rhos, ridge=ridge
+        mean_x=data.x.mean(axis=0), mean_y=data.y.mean(axis=0), A=sol.alphas, B=sol.betas,
+        rhos=np.clip(sol.lambdas, 0.0, 1.0), ridge=ridge,
     )
 
 
-def _check_ridge(ridge):
-    if not (isinstance(ridge, numbers.Real) and math.isfinite(ridge) and ridge >= 0):
-        raise InputError(f"ridge must be a finite number >= 0, got {ridge!r}")
-    return ridge
+def _check_number(name, value, low=0, kind=numbers.Real):
+    """`value` if it is a finite `kind` >= low; not a bool, which JSON true and false load as."""
+    if isinstance(value, bool) or not (isinstance(value, kind) and low <= value < math.inf):
+        noun = "an integer" if kind is numbers.Integral else "a finite number"
+        raise InputError(f"{name} must be {noun} >= {low}, got {value!r}")
+    return value
 
 
 def project_linear(model, side, points):
@@ -312,6 +306,26 @@ def _arrays(doc, fields, dims):
     return out
 
 
+def _diagnostics(doc, dims):
+    """doc's diagnostics: None if absent (older models), else exactly
+    {"rank": [r_x, r_y], "jitter": [j_L, j_N]} with integer ranks in d..n and jitters >= 0."""
+    if "diagnostics" not in doc:
+        return None
+    diag = doc["diagnostics"]
+    if not (
+        isinstance(diag, dict)
+        and diag.keys() == {"rank", "jitter"}
+        and all(isinstance(v, list) and len(v) == 2 for v in diag.values())
+    ):
+        raise InputError('model diagnostics must be {"rank": [r_x, r_y], "jitter": [j_L, j_N]}')
+    for r in diag["rank"]:
+        if _check_number("diagnostics rank", r, dims["d"], numbers.Integral) > dims["n"]:
+            raise InputError(f"diagnostics rank {r} exceeds the {dims['n']} training rows")
+    for j in diag["jitter"]:
+        _check_number("diagnostics jitter", j)
+    return diag
+
+
 def model_from_dict(doc):
     if not isinstance(doc, dict):
         raise InputError("model document is not a JSON object")
@@ -325,9 +339,10 @@ def model_from_dict(doc):
         fields = _ARRAY_FIELDS[method]
         if method == "kcca":
             config = config_from_dict(doc["config"])
-            arrays = _arrays(doc, fields, {"d": config.d})
-            return KccaModel(config=config, diagnostics=doc.get("diagnostics"), **arrays)
-        ridge = _check_ridge(doc.get("ridge", 0.0))
+            dims = {"d": config.d}
+            arrays = _arrays(doc, fields, dims)
+            return KccaModel(config=config, diagnostics=_diagnostics(doc, dims), **arrays)
+        ridge = _check_number("ridge", doc.get("ridge", 0.0))
         return LinearCcaModel(ridge=ridge, **_arrays(doc, fields, {}))
     except InputError:
         raise

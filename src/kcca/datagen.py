@@ -74,7 +74,7 @@ def gen_sim1(spec):
 
     x = (theta, sin 3*theta) + eps1, y = exp(theta/4) (cos 2*theta, sin 2*theta) + eps2,
     eps iid Gaussian with std spec.noise_std.  Returns (train, test,
-    (train_thetas, test_thetas)); the angles are kept for plot ordering.
+    (train_thetas, test_thetas)), the angles that drew each split.
     """
     if spec.scenario != "sim1":
         raise InputError("gen_sim1 requires scenario='sim1'")

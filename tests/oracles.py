@@ -11,7 +11,8 @@ whose eigenvalues come in +/- pairs; the positive half must match the
 library's whitened-SVD solution.  `kernel_eval` (one kernel value per
 pair) is the reference for `gram_matrix`/`cross_kernel`, and `mln_ref`
 (with an explicit J) for the dense n x n matrices that the low-rank fit
-never forms.
+never forms.  `linear_cca_rhos_ref` whitens by QR, not by a Cholesky
+factor of a covariance, so it forms no covariance at all.
 """
 
 import numpy as np
@@ -137,3 +138,15 @@ def centering_matrix(n):
     if n < 1:
         raise InputError("centering_matrix requires n >= 1")
     return np.eye(n) - np.full((n, n), 1.0 / n)
+
+
+def linear_cca_rhos_ref(x, y, ridge, d):
+    """Top-d ridge canonical correlations: sqrt(ridge) I rows under the centred
+    data scaled by 1/sqrt(n), whose QR whitens X^T X / n + ridge I exactly."""
+
+    def whitened(data):
+        n, p = data.shape
+        stacked = np.vstack([(data - data.mean(axis=0)) / np.sqrt(n), np.sqrt(ridge) * np.eye(p)])
+        return np.linalg.qr(stacked)[0][:n]
+
+    return np.linalg.svd(whitened(x).T @ whitened(y), compute_uv=False)[:d]

@@ -17,7 +17,7 @@ from kcca.datagen import PairedDataset, SimSpec, gen_sim1, gen_sim2
 from kcca.errors import DegenerateFeatureError, InputError, NotPositiveDefiniteError
 from kcca.kernels import KernelSpec, cross_kernel, gram_matrix
 
-from oracles import mln_ref, pearson_ref
+from oracles import linear_cca_rhos_ref, mln_ref, pearson_ref
 
 GAUSS1 = KernelSpec("gaussian", sigma=1.0)
 LINEAR = KernelSpec("linear")
@@ -48,16 +48,13 @@ class TestConfig:
 class TestBuildMln:
     def test_single_sample(self):
         F = np.array([[0.3, 0.7]])
-        M, L, N = build_mln(F, F, gauss_config(1.0, 2.0))
+        M, L, N = build_mln(F, F, 2.0, 2.0)
         np.testing.assert_array_equal(M, np.zeros((2, 2)))
         np.testing.assert_array_equal(L, 2.0 * np.eye(2))
 
     def test_identity_grams_no_reg(self):
         I2 = np.eye(2)  # features of the identity Gram
-        cfg = KccaConfig(
-            kernel_x=LINEAR, kernel_y=LINEAR, eta1=0.0, eta2=0.0, regularizer="dual_l2"
-        )
-        M, L, N = build_mln(I2, I2, cfg)
+        M, L, N = build_mln(I2, I2, 0.0, 0.0)
         np.testing.assert_allclose(M, [[0.25, -0.25], [-0.25, 0.25]], atol=1e-15)
 
     @pytest.mark.parametrize("regularizer", ["rkhs", "dual_l2"])
@@ -73,10 +70,7 @@ class TestBuildMln:
             U, s, _ = np.linalg.svd(G)
             bases.append(G if regularizer == "rkhs" else U)
             feats.append(G if regularizer == "rkhs" else U * s**2)
-        cfg = KccaConfig(
-            kernel_x=GAUSS1, kernel_y=GAUSS1, eta1=0.3, eta2=0.7, regularizer=regularizer
-        )
-        M, L, N = build_mln(*feats, cfg)
+        M, L, N = build_mln(*feats, 0.3, 0.7)
         Mr, Lr, Nr = mln_ref(Kx, Ky, 0.3, 0.7, rkhs=regularizer == "rkhs")
         Bx, By = bases
         np.testing.assert_allclose(Bx @ M @ By.T, Mr, atol=1e-13)
@@ -87,7 +81,7 @@ class TestBuildMln:
     def test_size_mismatch(self):
         rng = np.random.default_rng(1)
         with pytest.raises(InputError):
-            build_mln(rng.normal(size=(4, 3)), rng.normal(size=(5, 3)), gauss_config(1.0, 1.0))
+            build_mln(rng.normal(size=(4, 3)), rng.normal(size=(5, 3)), 1.0, 1.0)
 
 
 class TestFitKcca:
@@ -394,6 +388,14 @@ class TestLinearCca:
             project_linear(model, "x", data.x), project_linear(model, "y", data.y)
         )
         np.testing.assert_allclose(np.diag(table), model.rhos, atol=1e-10)
+
+    @pytest.mark.parametrize("ridge", [1e-10, 0.5])
+    def test_ridge_enters_once(self, ridge):
+        train, _, _ = gen_sim1(SimSpec("sim1", 40, 1, seed=8))
+        rng = np.random.default_rng(29)
+        for data in (train, PairedDataset(x=rng.normal(size=(60, 5)), y=rng.normal(size=(60, 3)))):
+            want = linear_cca_rhos_ref(data.x, data.y, ridge, 2)
+            np.testing.assert_allclose(fit_linear_cca(data, 2, ridge).rhos, want, rtol=1e-10)
 
     def test_too_many_components(self):
         rng = np.random.default_rng(20)

@@ -1,11 +1,16 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import kcca
 from kcca import linalg
@@ -277,6 +282,17 @@ def assert_one_domain_error(rc, capsys):
     return err
 
 
+def with_config(doc, **changes):
+    """The model document with config fields (and top-level fields named like arrays) replaced."""
+    arrays = {k: changes.pop(k) for k in list(changes) if k in doc}
+    return json.dumps({**doc, **arrays, "config": {**doc["config"], **changes}})
+
+
+def with_diagnostics(doc, raw):
+    """The model document with `raw` JSON text as its diagnostics value."""
+    return json.dumps({**doc, "diagnostics": None}).replace('"diagnostics": null', f'"diagnostics": {raw}')
+
+
 class TestBadInputOneErrorLine:
     @pytest.mark.parametrize(
         "text,message",
@@ -346,10 +362,35 @@ class TestBadInputOneErrorLine:
             lambda text, doc: json.dumps({**doc, "betas": [row[:1] for row in doc["betas"]]}),
             lambda text, doc: json.dumps({**doc, "alphas": [[float("nan")] * 2] + doc["alphas"][1:]}),
             lambda text, doc: json.dumps({**doc, "train_y": [["a", "b"]] * len(doc["train_y"])}),
+            lambda text, doc: with_config(doc, eta1=True),
+            lambda text, doc: with_config(doc, eta2=True),
+            lambda text, doc: with_config(doc, jitter=True),
+            lambda text, doc: with_config(doc, jitter=False),
+            lambda text, doc: with_config(doc, components=2.0),
+            # a one-component model, so that d = true agrees with the array shapes
+            lambda text, doc: with_config(
+                doc, components=True, alphas=[r[:1] for r in doc["alphas"]],
+                betas=[r[:1] for r in doc["betas"]], lambdas=doc["lambdas"][:1],
+            ),
+            lambda text, doc: with_diagnostics(doc, '"junk"'),
+            lambda text, doc: with_diagnostics(doc, "[1, 2]"),
+            lambda text, doc: with_diagnostics(doc, '{"rank": "x"}'),
+            lambda text, doc: with_diagnostics(doc, '{"rank": [1e400]}'),
+            lambda text, doc: with_diagnostics(doc, "null"),
+            lambda text, doc: with_diagnostics(doc, '{"rank": [10, 10], "jitter": [0.0, 0.0], "cond": 1}'),
+            lambda text, doc: with_diagnostics(doc, '{"rank": [10.0, 10], "jitter": [0.0, 0.0]}'),
+            lambda text, doc: with_diagnostics(doc, '{"rank": [true, 10], "jitter": [0.0, 0.0]}'),
+            lambda text, doc: with_diagnostics(doc, '{"rank": [11, 10], "jitter": [0.0, 0.0]}'),
+            lambda text, doc: with_diagnostics(doc, '{"rank": [1, 10], "jitter": [0.0, 0.0]}'),
+            lambda text, doc: with_diagnostics(doc, '{"rank": [10, 10], "jitter": [-1.0, 0.0]}'),
+            lambda text, doc: with_diagnostics(doc, '{"rank": [10, 10], "jitter": [0.0, false]}'),
         ],
         ids=[
             "truncated", "missing-key", "config-int", "kernel-int", "eta-string", "top-level-list", "method-list",
-            "alphas-rows", "betas-cols", "nan-alphas", "string-entries",
+            "alphas-rows", "betas-cols", "nan-alphas", "string-entries", "eta1-true", "eta2-true", "jitter-true",
+            "jitter-false", "components-float", "components-true", "diagnostics-string", "diagnostics-list",
+            "rank-string", "rank-overflow", "diagnostics-null", "diagnostics-extra-key", "rank-float", "rank-bool",
+            "rank-above-n", "rank-below-d", "jitter-negative", "jitter-bool",
         ],
     )
     def test_malformed_model_json(self, tmp_path, capsys, corrupt):
@@ -359,8 +400,10 @@ class TestBadInputOneErrorLine:
         text = model.read_text()
         model.write_text(corrupt(text, json.loads(text)))
         capsys.readouterr()
-        rc = main(["transform", "--model", str(model), "--data", str(te), "--side", "x", "--out", str(tmp_path / "f.csv")])
+        out = tmp_path / "f.csv"
+        rc = main(["transform", "--model", str(model), "--data", str(te), "--side", "x", "--out", str(out)])
         assert_one_domain_error(rc, capsys)
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "corrupt",
@@ -368,9 +411,11 @@ class TestBadInputOneErrorLine:
             lambda doc: {**doc, "ridge": "abc"},
             lambda doc: {**doc, "ridge": -1.0},
             lambda doc: {**doc, "ridge": None},
+            lambda doc: {**doc, "ridge": True},
+            lambda doc: {**doc, "ridge": False},
             lambda doc: {**doc, "A": [[]] * len(doc["A"]), "B": [[]] * len(doc["B"]), "rhos": []},
         ],
-        ids=["ridge-string", "ridge-negative", "ridge-null", "no-components"],
+        ids=["ridge-string", "ridge-negative", "ridge-null", "ridge-true", "ridge-false", "no-components"],
     )
     def test_malformed_linear_model(self, tmp_path, capsys, corrupt):
         tr, te = simulate(tmp_path, train=10, test=5)
@@ -410,3 +455,115 @@ class TestBadInputOneErrorLine:
         model = tmp_path / "m.json"
         assert main(["fit", "--data", str(tr), "--eta", "1e-12", "--model", str(model)]) == 0
         assert json.loads(model.read_text())["lambdas"][0] <= 1.0
+
+
+# Fuzzing the CLI boundary: whatever the bytes, values or flags, main() returns a
+# documented exit code and a failure is one error[...] line.  Fixed examples, so
+# that a run cannot flake.
+FUZZ = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+JSON_SCALARS = st.none() | st.booleans() | st.integers(-3, 60) | st.floats() | st.text(max_size=6)
+JSON_VALUES = JSON_SCALARS | st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+# where a value is put in each method's model document
+MODEL_PATHS = st.tuples(st.just("kcca"), st.sampled_from([
+    ("config", "eta1"), ("config", "eta2"), ("config", "jitter"), ("config", "components"),
+    ("config", "regularizer"), ("config", "kernel_x"), ("config",), ("diagnostics",), ("diagnostics", "rank"),
+    ("diagnostics", "jitter"), ("diagnostics", "rank", 0), ("diagnostics", "jitter", 1), ("lambdas",),
+])) | st.tuples(st.just("linear"), st.sampled_from([("ridge",), ("rhos",), ("mean_x",), ("A", 0)]))
+FLAG_VALUES = st.floats().map(repr) | st.sampled_from(["0", "-0.0", "1e-320", "1e308", "abc", ""])
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    """Small training and test files, and one fitted model file of each method."""
+    d = tmp_path_factory.mktemp("fuzz")
+    files = {"sim1": simulate(d / "sim1", train=30, test=10, seed=4), "sim2": simulate(d / "sim2", "sim2", 20, 10, 4)}
+    models = {method: str(d / f"{method}.json") for method in ("kcca", "linear")}
+    for method, model in models.items():
+        assert main(["fit", "--data", str(files["sim1"][0]), "--method", method, "--model", model]) == 0
+    return files, models
+
+
+def run_fuzzed(argv, out):
+    """main(argv) with its output captured; checks the exit code, the one error line
+    and that a failed command leaves no `out` file."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 2, 3, 64), rc
+    if rc:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error["), lines
+        assert not os.path.exists(out)
+    return rc
+
+
+@st.composite
+def mutated_bytes(draw, text):
+    """`text` with up to four spans replaced, by random bytes or by CSV-ish tokens."""
+    data = bytearray(text)
+    tokens = st.sampled_from([b",", b"\n", b"", b"nan", b"-inf", b"1e400", b"x3", b"label", b"7", b"\xff\xfe"])
+    for _ in range(draw(st.integers(1, 4))):
+        i = min(draw(st.integers(0, 40) | st.integers(0, len(data))), len(data))  # the header half the time
+        j = draw(st.integers(i, min(len(data), i + 8)))
+        data[i:j] = draw(st.binary(max_size=6) | tokens)
+    return bytes(data)
+
+
+class TestFuzzCliBoundary:
+    @FUZZ
+    @given(data=st.data(), scenario=st.sampled_from(["sim1", "sim2"]), command=st.sampled_from(["kcca", "linear", "eval"]))
+    def test_csv_bytes(self, fuzz_base, data, scenario, command):
+        files, models = fuzz_base
+        train, test = files[scenario]
+        with tempfile.TemporaryDirectory() as d:
+            csv, out = os.path.join(d, "d.csv"), os.path.join(d, "out")
+            with open(csv, "wb") as fh:
+                fh.write(data.draw(mutated_bytes(train.read_bytes())))
+            if command == "eval":
+                run_fuzzed(["eval", "--model", models["kcca"], "--train", csv, "--test", str(test), "--report", out], out)
+            else:
+                run_fuzzed(["fit", "--data", csv, "--method", command, "--model", out], out)
+
+    @FUZZ
+    @given(where=MODEL_PATHS, value=JSON_VALUES, command=st.sampled_from(["eval", "transform"]))
+    @example(where=("kcca", ("config", "eta1")), value=True, command="eval")
+    def test_model_json_values(self, fuzz_base, where, value, command):
+        files, models = fuzz_base
+        train, test = files["sim1"]
+        method, path = where
+        with open(models[method]) as fh:
+            doc = json.load(fh)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with tempfile.TemporaryDirectory() as d:
+            model, out = os.path.join(d, "m.json"), os.path.join(d, "out")
+            with open(model, "w") as fh:
+                json.dump(doc, fh)
+            if command == "transform":
+                run_fuzzed(["transform", "--model", model, "--data", str(test), "--side", "y", "--out", out], out)
+            elif run_fuzzed(["eval", "--model", model, "--train", str(train), "--test", str(test), "--report", out], out) == 0:
+                with open(out) as fh:
+                    report = json.load(fh)
+                # an echoed number is a number, never a JSON boolean
+                assert not any(isinstance(v, bool) for v in [*report.get("config", {}).values(), report.get("ridge")])
+
+    @FUZZ
+    @given(
+        method=st.sampled_from(["kcca", "linear"]),
+        reg=st.sampled_from(["rkhs", "dual-l2"]),
+        flags=st.dictionaries(st.sampled_from(["--jitter", "--ridge", "--eta", "--eta1", "--eta2"]), FLAG_VALUES, max_size=3),
+        components=st.integers(-1, 4),
+    )
+    def test_fit_flags(self, fuzz_base, method, reg, flags, components):
+        files, _ = fuzz_base
+        argv = ["fit", "--data", str(files["sim1"][0]), "--method", method, "--reg", reg, "--components", str(components)]
+        argv += [f"{flag}={value}" for flag, value in flags.items()]
+        with tempfile.TemporaryDirectory() as d:
+            model = os.path.join(d, "m.json")
+            run_fuzzed(argv + ["--model", model], model)
